@@ -14,10 +14,10 @@ from typing import Optional
 import numpy as np
 
 from ..errors import HarnessError
-from ..kernels import default_registry
 from ..schemes import SCHEMES, SchemeResult
 from ..workloads import DatasetSpec, dataset_for_label
-from .platform import ExperimentPlatform, build_platform, ingest_for_scheme, make_input
+from .platform import ExperimentPlatform, build_platform, ingest_for_scheme
+from .platform import make_input, reference_output
 
 
 @dataclass
@@ -74,7 +74,7 @@ def run_cell(
 
     verified = True
     if verify:
-        reference = default_registry.get(operator).reference(data)
+        reference = reference_output(dataset, operator)
         if result.offloaded:
             produced = pfs.client(cluster.compute_names[0]).collect("output")
         else:

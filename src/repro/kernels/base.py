@@ -121,6 +121,14 @@ class RowBlockKernel(Kernel):
             )
         return extract_core(rows_out, r0, window)
 
+    def reference(self, full: np.ndarray) -> np.ndarray:
+        """Whole raster: the block *is* the raster, so skip the flat
+        window round trip (two full-size copies) and apply directly."""
+        if full.ndim != 2:
+            raise KernelError("reference expects a 2-D raster")
+        with np.errstate(invalid="ignore"):
+            return self.apply_rows(np.ascontiguousarray(full, dtype=np.float64))
+
 
 class KernelRegistry:
     """Name -> kernel instance."""

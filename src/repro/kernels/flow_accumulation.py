@@ -22,7 +22,7 @@ import numpy as np
 
 from .base import RowBlockKernel, default_registry
 from .pattern import DependencePattern
-from .stencil import D8_OFFSETS, neighbor_stack, pad_rows
+from .stencil import D8_OFFSETS, neighbor_views, pad_rows
 
 
 class FlowAccumulationKernel(RowBlockKernel):
@@ -45,10 +45,11 @@ class FlowAccumulationKernel(RowBlockKernel):
         # (-dr, -dc).  D8_OFFSETS is antisymmetric around its middle, so
         # the opposite of slot k is slot 7-k, i.e. code 8-k.
         padded = pad_rows(block, fill=0.0)  # outside cells contribute nothing
-        stack = neighbor_stack(padded)
         out = np.ones_like(block)
-        for k in range(8):
-            out += (stack[k] == float(8 - k)).astype(np.float64)
+        points_here = np.empty(block.shape, dtype=np.bool_)
+        for k, view in enumerate(neighbor_views(padded)):
+            np.equal(view, float(8 - k), out=points_here)
+            out += points_here
         return out
 
 

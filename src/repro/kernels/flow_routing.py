@@ -17,7 +17,7 @@ import numpy as np
 
 from .base import RowBlockKernel, default_registry
 from .pattern import DependencePattern
-from .stencil import neighbor_stack, pad_rows
+from .stencil import neighbor_views, pad_rows
 
 
 class FlowRoutingKernel(RowBlockKernel):
@@ -35,11 +35,24 @@ class FlowRoutingKernel(RowBlockKernel):
         return DependencePattern.eight_neighbor(self.name)
 
     def apply_rows(self, block: np.ndarray) -> np.ndarray:
-        padded = pad_rows(block, fill=np.inf)
-        stack = neighbor_stack(padded)
-        idx = stack.argmin(axis=0)  # ndarray method: skips the np.argmin wrapper
-        lowest = np.take_along_axis(stack, idx[None, ...], axis=0)[0]
-        return np.where(lowest < block, (idx + 1).astype(np.float64), 0.0)
+        views = neighbor_views(pad_rows(block, fill=np.inf))
+        lowest = np.minimum(views[0], views[1])
+        for view in views[2:]:
+            np.minimum(lowest, view, out=lowest)
+        # argmin's first-minimum tie-break without a stack: slot k scores
+        # 8-k where it equals the minimum, so the running maximum keeps
+        # the lowest such k.  A NaN minimum equals nothing (score 0), and
+        # like argmin's NaN pick it is masked by ``lowest < block`` below.
+        score = np.zeros(block.shape, dtype=np.uint8)
+        hit = np.empty(block.shape, dtype=np.uint8)
+        equal = np.empty(block.shape, dtype=np.bool_)
+        for k, view in enumerate(views):
+            np.equal(view, lowest, out=equal)
+            np.multiply(equal, np.uint8(8 - k), out=hit)
+            np.maximum(score, hit, out=score)
+        np.subtract(9, score, out=score)  # score 8-k -> direction code k+1
+        np.multiply(score, np.less(lowest, block, out=equal), out=score)
+        return score.astype(np.float64)
 
 
 default_registry.register(FlowRoutingKernel())

@@ -43,10 +43,11 @@ class GaussianFilterKernel(RowBlockKernel):
         p = pad_rows(block, fill="edge")
         rows, cols = block.shape
         out = np.zeros_like(block)
+        tap = np.empty_like(block)  # one scratch for all nine products
         for dr in (-1, 0, 1):
             for dc in (-1, 0, 1):
-                w = self.WEIGHTS[dr + 1, dc + 1]
-                out += w * p[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
+                view = p[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
+                out += np.multiply(view, self.WEIGHTS[dr + 1, dc + 1], out=tap)
         return out
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .base import RowBlockKernel, default_registry
 from .pattern import DependencePattern
-from .stencil import neighbor_stack, pad_rows
+from .stencil import neighbor_views, pad_rows
 
 
 class ReliefKernel(RowBlockKernel):
@@ -30,11 +30,13 @@ class ReliefKernel(RowBlockKernel):
         return DependencePattern.eight_neighbor(self.name)
 
     def apply_rows(self, block: np.ndarray) -> np.ndarray:
-        p = pad_rows(block, fill="edge")
-        stack = neighbor_stack(p)
-        hi = np.maximum(stack.max(axis=0), block)
-        lo = np.minimum(stack.min(axis=0), block)
-        return hi - lo
+        views = neighbor_views(pad_rows(block, fill="edge"))
+        hi = np.maximum(views[0], views[1])
+        lo = np.minimum(views[0], views[1])
+        for view in views[2:] + (block,):
+            np.maximum(hi, view, out=hi)
+            np.minimum(lo, view, out=lo)
+        return np.subtract(hi, lo, out=hi)
 
 
 default_registry.register(ReliefKernel())

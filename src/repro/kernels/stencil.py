@@ -66,9 +66,12 @@ def assemble_rows(window: Window) -> Tuple[np.ndarray, int]:
     r0 = window.lo // width
     r1 = (window.hi - 1) // width if window.hi > window.lo else r0
     rows = r1 - r0 + 1
-    block = np.full(rows * width, np.nan, dtype=np.float64)
+    block = np.empty(rows * width, dtype=np.float64)
     start = window.lo - r0 * width
-    block[start : start + window.data.size] = window.data
+    stop = start + window.data.size
+    block[:start] = np.nan  # only the gap cells need the filler
+    block[start:stop] = window.data
+    block[stop:] = np.nan
     return block.reshape(rows, width), r0
 
 
@@ -77,10 +80,12 @@ def pad_rows(block: np.ndarray, fill: str | float = "edge") -> np.ndarray:
 
     ``fill='edge'`` replicates the border (matching
     ``scipy.ndimage mode='nearest'``); a float pads with that constant
-    (flow routing uses ``+inf`` so padding never wins an argmin).
+    (flow routing uses ``+inf`` so padding is never the minimum).
     """
     if block.ndim != 2:
         raise KernelError(f"pad_rows expects 2-D, got shape {block.shape}")
+    if isinstance(fill, str) and fill != "edge":
+        raise KernelError(f"pad_rows fill must be 'edge' or a number, got {fill!r}")
     # Hand-rolled ring (np.pad equivalent, minus its per-call overhead —
     # this runs once per window per kernel application).  Padding only
     # copies values, so the result is bit-identical to np.pad.
@@ -101,25 +106,7 @@ def pad_rows(block: np.ndarray, fill: str | float = "edge") -> np.ndarray:
     return out
 
 
-def neighbor_stack(padded: np.ndarray) -> np.ndarray:
-    """The 8 neighbour views of a padded block, shape ``(8, rows, cols)``.
-
-    Order matches :data:`D8_OFFSETS`: NW, N, NE, W, E, SW, S, SE.
-    """
-    core = padded[1:-1, 1:-1]
-    rows, cols = core.shape
-    out = np.empty((8, rows, cols), dtype=padded.dtype)
-    idx = 0
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            out[idx] = padded[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
-            idx += 1
-    return out
-
-
-#: (dr, dc) for each slot of :func:`neighbor_stack` / D8 direction codes.
+#: (dr, dc) for each slot of :func:`neighbor_views` / D8 direction codes.
 D8_OFFSETS: Tuple[Tuple[int, int], ...] = (
     (-1, -1),
     (-1, 0),
@@ -130,6 +117,17 @@ D8_OFFSETS: Tuple[Tuple[int, int], ...] = (
     (1, 0),
     (1, 1),
 )
+
+
+def neighbor_views(padded: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The 8 neighbour views of a padded block, each ``(rows, cols)``, in
+    :data:`D8_OFFSETS` order.  Slices of ``padded``, not copies: kernels
+    reduce over them instead of moving every element eight times."""
+    rows, cols = padded.shape[0] - 2, padded.shape[1] - 2
+    return tuple(
+        padded[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
+        for dr, dc in D8_OFFSETS
+    )
 
 
 def extract_core(rows_out: np.ndarray, r0: int, window: Window) -> np.ndarray:

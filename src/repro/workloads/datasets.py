@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -67,15 +68,22 @@ class DatasetSpec:
     def shape(self) -> Tuple[int, int]:
         return self.rows, self.cols
 
+    @lru_cache(maxsize=4)
     def generate(self) -> np.ndarray:
+        """The spec's raster, synthesised once per process: every cell of
+        a grid asks for the same few specs.  Memoised per (frozen) spec
+        and **read-only**; ingest copies (``DataServer.preload``)."""
         rng = np.random.default_rng(self.seed)
         if self.kind == "dem":
-            return fractal_dem(self.rows, self.cols, rng=rng)
-        if self.kind == "image":
-            return add_salt_pepper(
+            data = fractal_dem(self.rows, self.cols, rng=rng)
+        elif self.kind == "image":
+            data = add_salt_pepper(
                 phantom_image(self.rows, self.cols, rng=rng), fraction=0.01, rng=rng
             )
-        raise ValueError(f"unknown dataset kind {self.kind!r}")
+        else:
+            raise ValueError(f"unknown dataset kind {self.kind!r}")
+        data.setflags(write=False)
+        return data
 
 
 def dataset_for_label(

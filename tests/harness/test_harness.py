@@ -13,6 +13,8 @@ from repro.harness import (
     run_experiment,
 )
 from repro.harness.experiments import table1
+from repro.harness.platform import reference_output
+from repro.kernels import default_registry
 from repro.harness.runner import build_parser, main
 from repro.pfs import ReplicatedGroupedLayout, RoundRobinLayout
 from repro.units import KiB
@@ -64,6 +66,18 @@ class TestIngestPolicy:
         assert set(np.unique(dirs)).issubset(set(float(x) for x in range(9)))
         dem = make_input(spec, "flow-routing")
         assert dem.shape == dirs.shape
+
+    def test_inputs_and_references_are_derived_once(self):
+        spec = dataset_for_label(1, scale=TINY, seed=3)
+        dirs = make_input(spec, "flow-accumulation")
+        assert make_input(spec, "flow-accumulation") is dirs
+        # The direction raster *is* flow-routing's reference output.
+        assert reference_output(spec, "flow-routing") is dirs
+        assert make_input(spec, "gaussian") is spec.generate()
+        ref = reference_output(spec, "flow-accumulation")
+        assert not ref.flags.writeable and not dirs.flags.writeable
+        kernel = default_registry.get("flow-accumulation")
+        assert np.array_equal(ref, kernel.reference(dirs))
 
 
 class TestRunCell:

@@ -8,7 +8,7 @@ from repro.kernels import (
     Window,
     assemble_rows,
     extract_core,
-    neighbor_stack,
+    neighbor_views,
     pad_rows,
     window_bounds,
 )
@@ -50,6 +50,12 @@ class TestAssembleRows:
         assert flat[5] == 25  # element 25 at position 25 - 20
         assert np.isnan(flat[0])  # element 20..24 are outside the window
 
+    def test_only_head_and_tail_gaps_are_nan(self):
+        w = make_window(n=100, width=10, lo=25, first=30, end=40)  # hi = 65
+        flat = assemble_rows(w)[0].reshape(-1)
+        assert np.isnan(flat[:5]).all() and np.isnan(flat[45:]).all()
+        assert flat[5:45].tolist() == list(range(25, 65))
+
     def test_full_raster_window_has_no_nans(self):
         data = np.arange(100, dtype=np.float64)
         w = Window(data=data, lo=0, first=0, end=100, width=10, n_elements=100)
@@ -78,16 +84,29 @@ class TestPadRows:
         with pytest.raises(KernelError):
             pad_rows(np.zeros(5))
 
+    def test_unknown_string_fill_rejected(self):
+        with pytest.raises(KernelError, match="wrap"):
+            pad_rows(np.ones((2, 2)), "wrap")
+
 
 class TestNeighborStack:
+    """The stack is gone; its slot order lives on in ``neighbor_views``."""
+
     def test_stack_order_matches_d8_offsets(self):
         block = np.arange(25, dtype=np.float64).reshape(5, 5)
-        p = pad_rows(block, 0.0)
-        stack = neighbor_stack(p)
-        assert stack.shape == (8, 5, 5)
+        views = neighbor_views(pad_rows(block, 0.0))
+        assert len(views) == 8
         centre = (2, 2)
         for k, (dr, dc) in enumerate(D8_OFFSETS):
-            assert stack[k][centre] == block[2 + dr, 2 + dc]
+            assert views[k].shape == (5, 5)
+            assert views[k][centre] == block[2 + dr, 2 + dc]
+
+    def test_views_share_memory_with_padded_block(self):
+        p = pad_rows(np.zeros((3, 4)), 0.0)
+        views = neighbor_views(p)
+        assert all(np.shares_memory(v, p) and v.base is p for v in views)
+        p[0, 0] = 7.0  # the NW view's first cell *is* the ring corner
+        assert views[0][0, 0] == 7.0
 
     def test_d8_offsets_antisymmetric(self):
         for k, (dr, dc) in enumerate(D8_OFFSETS):

@@ -121,3 +121,37 @@ class TestDatasetSpecs:
     def test_generation_deterministic_by_seed(self):
         spec = dataset_for_label(1, scale=64 * 1024, seed=9)
         assert np.array_equal(spec.generate(), spec.generate())
+
+    def test_generate_is_memoised_and_read_only(self):
+        spec = dataset_for_label(1, scale=64 * 1024, seed=11)
+        first = spec.generate()
+        assert spec.generate() is first
+        # An equal spec built separately hits the same entry.
+        assert dataset_for_label(1, scale=64 * 1024, seed=11).generate() is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+        assert first.copy().flags.writeable
+
+    def test_different_seeds_give_different_arrays(self):
+        a = dataset_for_label(1, scale=64 * 1024, seed=1).generate()
+        b = dataset_for_label(1, scale=64 * 1024, seed=2).generate()
+        assert a is not b and not np.array_equal(a, b)
+
+    def test_cache_stays_bounded(self):
+        bound = DatasetSpec.generate.cache_info().maxsize
+        specs = [DatasetSpec(1, 6, 7, seed=s) for s in range(bound + 3)]
+        oldest = specs[0].generate()
+        for spec in specs[1:]:
+            spec.generate()
+        assert DatasetSpec.generate.cache_info().currsize == bound
+        # Evicted, so regenerated: equal values, a new object.
+        again = specs[0].generate()
+        assert again is not oldest and np.array_equal(again, oldest)
+
+    def test_fractal_dem_callers_unaffected(self):
+        spec = DatasetSpec(1, 12, 9, seed=5)
+        direct = fractal_dem(12, 9, rng=np.random.default_rng(5))
+        assert direct.flags.writeable
+        assert np.array_equal(direct, spec.generate())
+        assert not np.shares_memory(direct, spec.generate())
