@@ -14,7 +14,7 @@ evaluates the declared checks.
 To keep a scenario you like, dump it to JSON and run it through the
 bench like the shipped library members:
 
-    python -m repro.harness.scenario_bench --scenario my_scenario.json
+    python -m repro.harness scenario-bench --scenario my_scenario.json
 
 Run:  python examples/custom_scenario.py
 """
@@ -71,9 +71,10 @@ def main() -> None:
     spec = load_scenario(DOCUMENT)
     print(f"loaded '{spec.name}': {spec.description}\n")
 
-    summary, digests = run_scenario(spec)
-    replay_summary, replay_digests = run_scenario(spec)
-    assert summary == replay_summary and digests == replay_digests, (
+    summary, system = run_scenario(spec)
+    digests = system.executor.digests  # per-request result CRCs
+    replay_summary, replay = run_scenario(spec)
+    assert summary == replay_summary and digests == replay.executor.digests, (
         "the document pins the seed, so two runs must be bit-identical"
     )
 
@@ -102,7 +103,7 @@ def main() -> None:
         failed += 0 if ok else 1
     assert failed == 0, "every declared gate should hold"
 
-    print("\nthe same document, as JSON (scenario_bench runs it verbatim):")
+    print("\nthe same document, as JSON (scenario-bench runs it verbatim):")
     print(json.dumps(spec.to_dict(), indent=2)[:400] + " ...")
 
 

@@ -20,11 +20,17 @@ to the load where NAS breaks the SLO and DAS still holds it).
 Run:  python examples/serving_slo.py
 """
 
-from repro.harness.serve_bench import DEADLINE, serve_cell
+from repro.harness.serve_bench import DEADLINE, serve_spec
 from repro.metrics import format_table
+from repro.scenarios import run_scenario
 
 LOADS = (0.5, 1.0, 2.0)
 DURATION = 4.0
+
+
+def serve_cell(scheme, load):
+    """Summary of one serve-bench cell, materialised from its spec."""
+    return run_scenario(serve_spec(scheme, load, DURATION))[0]
 
 
 def tenant_rows(summary):
@@ -52,7 +58,7 @@ def main() -> None:
     print(f"SLO: p99 arrival-to-finish latency <= {DEADLINE:g}s, nothing expired\n")
 
     for load in LOADS:
-        summary = serve_cell("DAS", load, duration=DURATION)
+        summary = serve_cell("DAS", load)
         cache = summary["decision_cache"]
         print(
             f"== DAS, offered load x{load:g} "
@@ -65,14 +71,14 @@ def main() -> None:
         print()
 
     top = LOADS[-1]
-    summary = serve_cell("NAS", top, duration=DURATION)
+    summary = serve_cell("NAS", top)
     print(
         f"== NAS (offload-always), offered load x{top:g} — same load,"
         f" no dynamic decision =="
     )
     print(format_table(tenant_rows(summary)))
 
-    das = serve_cell("DAS", top, duration=DURATION)["tenants"]["_all"]
+    das = serve_cell("DAS", top)["tenants"]["_all"]
     nas = summary["tenants"]["_all"]
     assert das["lat_p99"] < nas["lat_p99"], "DAS should hold a tighter tail"
     print(

@@ -75,11 +75,12 @@ def autoscale_system():
     from repro.harness.autoscale_bench import (
         MAX_SERVERS,
         MIN_SERVERS,
-        autoscale_cell,
+        autoscale_spec,
     )
+    from repro.scenarios import run_scenario
 
-    _, system = autoscale_cell(
-        MIN_SERVERS, MAX_SERVERS, MIN_SERVERS, AUTOSCALE_DURATION
+    _, system = run_scenario(
+        autoscale_spec(MIN_SERVERS, MAX_SERVERS, MIN_SERVERS, AUTOSCALE_DURATION)
     )
     return system
 

@@ -13,10 +13,9 @@ Two families of drift this catches:
    renders to that anchor under GitHub's slug rules.
 
 2. **CLI flags.**  Every ``--flag`` a document attributes to the
-   harness must exist in ``repro.harness.runner.build_parser()``, in
-   the scenario bench's own parser
-   (``repro.harness.scenario_bench``), or in the report subcommand's
-   (``repro.harness.report``).  Two places count as
+   harness must exist in ``repro.harness.runner.build_parser()`` or in
+   the report subcommand's (``repro.harness.report``).  Two places
+   count as
    "attributing to the harness": fenced-code lines that invoke
    ``python -m repro.harness...`` or ``das-harness`` (line
    continuations followed), and inline code spans that consist of a
@@ -162,18 +161,13 @@ def check_links(doc: Path) -> List[str]:
 
 def harness_flags() -> Set[str]:
     """Option strings of the real harness argparse parsers (the main
-    runner, the scenario bench's standalone entry point, and the
-    report subcommand)."""
+    runner and the report subcommand)."""
     sys.path.insert(0, str(REPO / "src"))
-    from repro.harness import report, scenario_bench
+    from repro.harness import report
     from repro.harness.runner import build_parser
 
     flags: Set[str] = set()
-    for parser in (
-        build_parser(),
-        scenario_bench.build_parser(),
-        report.build_parser(),
-    ):
+    for parser in (build_parser(), report.build_parser()):
         for action in parser._actions:
             flags.update(action.option_strings)
     return flags

@@ -78,7 +78,7 @@ VOLATILE_KEYS = frozenset(
 #: Default relative wall-clock regression tolerance (+20%).
 WALL_TOLERANCE = 0.20
 
-#: Tracer acceptance bounds, mirrored from ``repro.harness.tracing``
+#: Tracer acceptance bounds, mirrored from ``repro.harness.replays``
 #: (kept literal so this script stays stdlib-only).
 MIN_COVERAGE = 0.95
 MAX_ATTRIBUTION_ERROR = 0.01

@@ -33,7 +33,7 @@ from typing import List
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.harness.tracing import MAX_ATTRIBUTION_ERROR, MIN_COVERAGE  # noqa: E402
+from repro.harness.replays import MAX_ATTRIBUTION_ERROR, MIN_COVERAGE  # noqa: E402
 from repro.obs.validate import validate_trace  # noqa: E402
 
 

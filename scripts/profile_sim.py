@@ -63,12 +63,13 @@ def main(argv=None) -> int:
         target = lambda: fn(*shape)  # noqa: E731
         label = f"engine:{args.engine} {'x'.join(map(str, shape))}"
     else:
-        from repro.harness.serve_bench import serve_cell
+        from repro.harness.serve_bench import serve_spec
+        from repro.scenarios import run_scenario
 
-        target = lambda: serve_cell(  # noqa: E731
-            args.scheme, args.load, duration=args.duration,
-            batch_max=args.batch_max,
+        spec = serve_spec(
+            args.scheme, args.load, args.duration, batch_max=args.batch_max
         )
+        target = lambda: run_scenario(spec)  # noqa: E731
         label = (f"serve:{args.scheme} x{args.load:g}"
                  f" d{args.duration:g} b{args.batch_max}")
 

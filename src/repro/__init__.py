@@ -22,8 +22,12 @@ Quickstart::
     result = cluster.run(until=scheme.run_operation("flow-routing", "dem", "dirs"))
 """
 
-from . import config, core, errors, harness, hw, kernels, metrics, net, pfs
-from . import report, schemes, sim, units, workloads
+from . import config, core, errors, hw, kernels, metrics, net, pfs
+from . import schemes, sim, units, workloads
+
+# ``repro.harness`` and ``repro.report`` sit on top of everything else
+# (harness -> scenarios -> serve -> ...); import them explicitly, so
+# that using a lower layer never executes the top one.
 
 __version__ = "1.0.0"
 

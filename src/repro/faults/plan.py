@@ -27,6 +27,12 @@ KINDS = ("crash", "recover", "slow", "restore", "cut", "heal")
 _PAIRWISE = frozenset({"cut", "heal"})
 
 
+def _num(value: float) -> str:
+    """Shortest text that parses back to exactly ``value`` (``2`` for 2.0)."""
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One scheduled fault (or repair).
@@ -62,8 +68,8 @@ class FaultEvent:
     def spec(self) -> str:
         """This event in chaos-spec syntax (parse/format round-trips)."""
         target = f"{self.target}-{self.peer}" if self.peer else self.target
-        suffix = f"x{self.factor:g}" if self.kind == "slow" else ""
-        return f"{self.kind}:{target}@{self.at:g}{suffix}"
+        suffix = f"x{_num(self.factor)}" if self.kind == "slow" else ""
+        return f"{self.kind}:{target}@{_num(self.at)}{suffix}"
 
 
 def _parse_clause(clause: str) -> FaultEvent:

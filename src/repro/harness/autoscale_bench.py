@@ -31,23 +31,17 @@ result.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from dataclasses import replace
+from functools import partial
+from typing import Dict, Tuple
 
-import numpy as np
-
-from ..serve import AutoscalePolicy, ServeConfig, ServeSystem
+from ..scenarios import ScenarioSpec, run_scenario
+from ..serve import AutoscalePolicy, ServeSystem
 from ..units import KiB
-from .common import (
-    SERVE_NODES,
-    build_serve_platform,
-    ingest_files,
-    ingest_partition,
-    scaled_duration,
-    serve_platform,
-)
-from .experiments import ExperimentReport
-from .platform import ExperimentPlatform
-from .serve_bench import DEADLINE, serve_tenants
+from .common import scaled_duration
+from .experiment_report import ExperimentReport
+from .replays import Replays
+from .serve_bench import DEADLINE, SERVE_CELL
 
 #: Partition clamp of the autoscale cell (also the two static sizes).
 MIN_SERVERS = 2
@@ -86,48 +80,21 @@ def surge_ramp(duration: float) -> Tuple[Tuple[float, float], ...]:
     return ((0.0, 1.0), (duration / 4, SURGE), (2 * duration / 3, 0.25))
 
 
-def autoscale_cell(
-    clamp_min: int,
-    clamp_max: int,
-    ingest_servers: int,
-    duration: float,
-    platform: Optional[ExperimentPlatform] = None,
-    tracer=None,
-    telemetry=None,
-) -> Tuple[Dict[str, object], ServeSystem]:
-    """One ramped serving run; returns the summary and the live system
-    (the bench reads the controller trace and per-request digests)."""
-    platform = serve_platform(platform)
-    cluster, pfs = build_serve_platform(platform)
-    rng = np.random.default_rng(platform.seed)
-    subset = pfs.server_names[:ingest_servers]
-    ingest_files(pfs, "DAS", rng, policy="partition", servers=subset)
-    policy = AutoscalePolicy(
-        min_servers=clamp_min,
-        max_servers=clamp_max,
-        interval=POLICY.interval,
-        p99_high=POLICY.p99_high,
-        p99_low=POLICY.p99_low,
-        queue_high=POLICY.queue_high,
-        breach_ticks=POLICY.breach_ticks,
-        calm_ticks=POLICY.calm_ticks,
-        cooldown=POLICY.cooldown,
-    )
-    config = ServeConfig(
-        tenants=serve_tenants(),
-        scheme="DAS",
+def autoscale_spec(
+    clamp_min: int, clamp_max: int, ingest_servers: int, duration: float
+) -> ScenarioSpec:
+    """One ramped cell as a spec value: serve-bench's DAS cell, files
+    planned onto the first ``ingest_servers`` servers, the surge ramp,
+    and :data:`POLICY` with its clamp pinned to this deployment."""
+    return replace(
+        SERVE_CELL,
+        topology=replace(
+            SERVE_CELL.topology, ingest="partition", partition_servers=ingest_servers
+        ),
         duration=duration,
-        deadline=DEADLINE,
-        load=1.0,
-        concurrency=8,
-        queue_capacity=12,
         ramp=surge_ramp(duration),
-        autoscale=policy,
-        tracer=tracer,
-        telemetry=telemetry,
+        autoscale=replace(POLICY, min_servers=clamp_min, max_servers=clamp_max),
     )
-    system = ServeSystem(pfs, config)
-    return system.run(), system
 
 
 def _row(name: str, summary: Dict[str, object], system: ServeSystem) -> dict:
@@ -166,12 +133,17 @@ def autoscale_bench(
     scales shorten it proportionally (floor 6 s — the control loop needs
     a few cooldown periods of calm tail to demonstrate the scale-down).
     """
+    replays = Replays(verify, trace_dir, trace_sample, telemetry_dir)
     duration = scaled_duration(scale, DURATION, 6.0)
 
     rows = []
+    runs = {}
     results: Dict[str, Tuple[Dict[str, object], ServeSystem]] = {}
     for name, lo, hi, ingest in CELLS:
-        summary, system = autoscale_cell(lo, hi, ingest, duration, platform=platform)
+        runs[name] = partial(
+            run_scenario, autoscale_spec(lo, hi, ingest, duration), platform
+        )
+        summary, system = runs[name]()
         results[name] = (summary, system)
         rows.append(_row(name, summary, system))
     by_cell = {r["cell"]: r for r in rows}
@@ -294,70 +266,31 @@ def autoscale_bench(
         )
     )
 
-    if verify:
-        replay, _ = autoscale_cell(
-            MIN_SERVERS, MAX_SERVERS, MIN_SERVERS, duration, platform=platform
-        )
-        checks.append(
-            (
-                "bit-identical replay: the autoscale cell reproduces the"
-                " same summary (actions included) from the same seed",
-                replay == auto_summary,
-            )
-        )
-
-    if trace_dir is not None:
-        from .tracing import traced_replay
-
-        trace_checks, _ = traced_replay(
-            "autoscale",
-            lambda tracer: autoscale_cell(
-                MIN_SERVERS, MAX_SERVERS, MIN_SERVERS, duration,
-                platform=platform, tracer=tracer,
-            )[0],
-            auto_summary,
-            trace_dir,
-            meta={"bench": "autoscale-bench", "cell": "autoscale",
-                  "duration": duration},
-            sample=1.0 / max(1, int(trace_sample)),
-        )
-        checks += trace_checks
-
-    aux_checks = []
-    if telemetry_dir is not None:
-        from .telemetry import telemetry_replay
-
-        # The full-length surge plays the whole incident on the sampler:
-        # queue-growth trips first (the leading indicator), saturation
-        # and both burn pages follow, and the controller's scale-up must
-        # resolve every one of them before the horizon.  Reduced-scale
-        # runs skip the expectations for the same reason they skip the
-        # surge/recovery checks.
-        expect = (
-            ("availability-burn", "latency-burn", "queue-growth",
-             "queue-saturated")
+    rerun = runs["autoscale"]
+    meta = {"bench": "autoscale-bench", "cell": "autoscale", "duration": duration}
+    checks += replays.verified(
+        "bit-identical replay: the autoscale cell reproduces the"
+        " same summary (actions included) from the same seed",
+        rerun,
+        auto_summary,
+    )
+    checks += replays.traced("autoscale", rerun, auto_summary, meta)
+    # The full-length surge plays the whole incident on the sampler:
+    # queue-growth trips first (the leading indicator), saturation and
+    # both burn pages follow, and the controller's scale-up must resolve
+    # every one of them before the horizon.  Reduced-scale runs skip the
+    # expectations for the same reason they skip the surge/recovery checks.
+    aux_checks = replays.sampled(
+        "autoscale",
+        rerun,
+        auto_summary,
+        meta,
+        expect_alerts=(
+            ("availability-burn", "latency-burn", "queue-growth", "queue-saturated")
             if full_length
             else ()
-        )
-
-        def _telemetered(config):
-            summary, system = autoscale_cell(
-                MIN_SERVERS, MAX_SERVERS, MIN_SERVERS, duration,
-                platform=platform, telemetry=config,
-            )
-            return summary, system.telemetry
-
-        telemetry_checks, _ = telemetry_replay(
-            "autoscale",
-            _telemetered,
-            auto_summary,
-            telemetry_dir,
-            meta={"bench": "autoscale-bench", "cell": "autoscale",
-                  "duration": duration},
-            expect_fired=expect,
-            expect_resolved=expect,
-        )
-        aux_checks += telemetry_checks
+        ),
+    )
 
     return ExperimentReport(
         experiment="autoscale-bench",
@@ -366,7 +299,8 @@ def autoscale_bench(
         checks=checks,
         aux_checks=aux_checks,
         notes=(
-            f"{SERVE_NODES} nodes, ramped load 1x -> {SURGE:g}x -> 0.25x over"
+            f"{SERVE_CELL.topology.nodes} nodes, ramped load"
+            f" 1x -> {SURGE:g}x -> 0.25x over"
             f" {duration:g}s, deadline {DEADLINE:g}s; clamp"
             f" [{MIN_SERVERS}, {MAX_SERVERS}], tick {POLICY.interval:g}s,"
             f" cooldown {POLICY.cooldown:g}s; static cells run the controller"

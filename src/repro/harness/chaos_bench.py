@@ -23,30 +23,24 @@ A final *storm* cell layers every fault kind (crash, disk slowdown,
 link cut) on one DAS run to exercise timeouts, retries and hedged
 reads together; it asserts conservation, not throughput.
 
-Every cell is deterministic from the root seed.  The report lands in
-``benchmarks/BENCH_faults.json`` via ``--bench-dir``.
+Every cell is serve-bench's :data:`~repro.harness.serve_bench.SERVE_CELL`
+varied by :func:`fault_spec` (ingest policy, fault schedule in chaos-spec
+grammar, recovery policy) and is deterministic from the root seed.  The
+report lands in ``benchmarks/BENCH_faults.json`` via ``--bench-dir``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from ..faults import FaultPlan, RecoveryPolicy
-from ..serve import ServeConfig, ServeSystem
-from .common import (
-    RASTER,
-    SERVE_NODES,
-    build_serve_platform,
-    ingest_files,
-    replicated_ingest,
-    scaled_duration,
-    serve_platform,
-)
-from .experiments import ExperimentReport
-from .platform import ExperimentPlatform
-from .serve_bench import DURATION, serve_cell, serve_tenants
+from ..scenarios import ScenarioSpec, run_scenario
+from .common import scaled_duration
+from .experiment_report import ExperimentReport
+from .replays import Replays
+from .serve_bench import DEADLINE, DURATION, SERVE_CELL, serve_spec
 
 #: Schemes swept through the crash cells, in reporting order.
 CHAOS_SCHEMES = ("TS", "NAS", "DAS")
@@ -77,95 +71,52 @@ CHAOS_RECOVERY = RecoveryPolicy(
 STORM_SLOW_FACTOR = 0.05
 
 
-def chaos_cell(
+def fault_spec(
     scheme: str,
     duration: float,
-    faults: Optional[FaultPlan] = None,
+    chaos: Optional[str] = None,
     recovery: Optional[RecoveryPolicy] = None,
     replicated: bool = True,
     deadline: float = CHAOS_DEADLINE,
-    platform: Optional[ExperimentPlatform] = None,
-    tracer=None,
-    telemetry=None,
-) -> Dict[str, object]:
-    """One faulted serving run: fresh platform, chosen ingest, summary.
+) -> ScenarioSpec:
+    """One faulted serving cell as a spec value.
 
-    Mirrors :func:`~repro.harness.serve_bench.serve_cell` exactly apart
-    from the ingest policy and the fault/recovery configuration, so a
-    cell with ``faults=None, recovery=None, replicated=False`` and the
-    serve-bench deadline reproduces a serve-bench cell bit-identically.
+    A serve-bench cell apart from the ingest policy and the fault /
+    recovery configuration, so ``chaos=None, recovery=None,
+    replicated=False`` and the serve-bench deadline reproduces a
+    serve-bench cell bit-identically.
     """
-    summary, _ = chaos_cell_system(
+    spec = serve_spec(
         scheme,
+        CHAOS_LOAD,
         duration,
-        faults=faults,
-        recovery=recovery,
-        replicated=replicated,
         deadline=deadline,
-        platform=platform,
-        tracer=tracer,
-        telemetry=telemetry,
-    )
-    return summary
-
-
-def chaos_cell_system(
-    scheme: str,
-    duration: float,
-    faults: Optional[FaultPlan] = None,
-    recovery: Optional[RecoveryPolicy] = None,
-    replicated: bool = True,
-    deadline: float = CHAOS_DEADLINE,
-    platform: Optional[ExperimentPlatform] = None,
-    tracer=None,
-    telemetry=None,
-):
-    """Like :func:`chaos_cell` but also returns the system (telemetry
-    replays read the sampler off it for artifact export)."""
-    platform = serve_platform(platform)
-    cluster, pfs = build_serve_platform(platform)
-    rng = np.random.default_rng(platform.seed)
-    ingest_files(pfs, scheme, rng, policy="replicated" if replicated else "scheme")
-    config = ServeConfig(
-        tenants=serve_tenants(),
-        scheme=scheme,
-        duration=duration,
-        deadline=deadline,
-        load=CHAOS_LOAD,
-        concurrency=8,
-        queue_capacity=12,
-        faults=faults,
+        chaos=chaos,
         recovery=recovery,
         decision_ttl=1.0 if recovery is not None and scheme == "DAS" else None,
-        tracer=tracer,
-        telemetry=telemetry,
     )
-    system = ServeSystem(pfs, config)
-    return system.run(), system
+    if replicated:
+        spec = replace(spec, topology=replace(spec.topology, ingest="replicated"))
+    return spec
 
 
-def single_crash_plan(pfs, duration: float) -> FaultPlan:
+def single_crash(duration: float) -> str:
     """Crash the second storage server mid-workload, heal it later."""
-    victim = pfs.cluster.storage_names[1]
     return FaultPlan.single_crash(
-        victim, at=CRASH_AT * duration, recover_at=RECOVER_AT * duration
-    )
+        "s1", at=CRASH_AT * duration, recover_at=RECOVER_AT * duration
+    ).spec()
 
 
-def storm_plan(pfs, duration: float) -> FaultPlan:
-    """Every fault kind in one plan: crash, disk slowdown, link cut."""
-    storage = pfs.cluster.storage_names
-    compute = pfs.cluster.compute_names
-    return FaultPlan.parse(
-        ";".join(
-            (
-                f"slow:{storage[2]}@{0.15 * duration:g}x{STORM_SLOW_FACTOR:g}",
-                f"crash:{storage[1]}@{CRASH_AT * duration:g}",
-                f"cut:{compute[0]}-{storage[3]}@{0.4 * duration:g}",
-                f"heal:{compute[0]}-{storage[3]}@{0.55 * duration:g}",
-                f"recover:{storage[1]}@{RECOVER_AT * duration:g}",
-                f"restore:{storage[2]}@{0.8 * duration:g}",
-            )
+def storm(duration: float) -> str:
+    """Every fault kind in one schedule: crash, disk slowdown, link cut."""
+    return ";".join(
+        (
+            f"slow:s2@{0.15 * duration:g}x{STORM_SLOW_FACTOR:g}",
+            f"crash:s1@{CRASH_AT * duration:g}",
+            f"cut:c0-s3@{0.4 * duration:g}",
+            f"heal:c0-s3@{0.55 * duration:g}",
+            f"recover:s1@{RECOVER_AT * duration:g}",
+            f"restore:s2@{0.8 * duration:g}",
         )
     )
 
@@ -215,36 +166,37 @@ def chaos_bench(
     ``chaos_spec`` optionally appends one extra DAS cell driven by a
     user-supplied fault schedule (see ``FaultPlan.parse``).
     """
+    replays = Replays(verify, trace_dir, trace_sample, telemetry_dir)
     duration = scaled_duration(scale, DURATION, 1.5)
-    # One platform just to name servers for the plans; cells build their
-    # own identical platforms from the same seed.
-    _, plan_pfs = build_serve_platform(platform)
-    crash = single_crash_plan(plan_pfs, duration)
-    storm = storm_plan(plan_pfs, duration)
+    crash = single_crash(duration)
+    storm_spec = storm(duration)
 
     rows = []
     summaries: Dict[str, Dict[str, object]] = {}
+    runs = {}
 
     def run(cell: str, scheme: str, replicated: bool = True, **kw) -> Dict[str, object]:
-        summary = chaos_cell(
-            scheme, duration, replicated=replicated, platform=platform, **kw
+        runs[cell] = partial(
+            run_scenario,
+            fault_spec(scheme, duration, replicated=replicated, **kw),
+            platform,
         )
+        summary, _ = runs[cell]()
         summaries[cell] = summary
         rows.append(_row(cell, summary, replicated))
         return summary
 
     # Parity: fault plane off == the plain serve-bench cell, bit for bit.
+    # (As spec values the two are equal by construction; running both
+    # still proves the fault/recovery plumbing is inert when unarmed.)
     parity_ok = True
     if verify:
         for scheme in schemes:
-            chaotic = chaos_cell(
-                scheme,
-                duration,
-                replicated=False,
-                deadline=0.5,
-                platform=platform,
+            chaotic, _ = run_scenario(
+                fault_spec(scheme, duration, replicated=False, deadline=DEADLINE),
+                platform,
             )
-            plain = serve_cell(scheme, CHAOS_LOAD, duration=duration, platform=platform)
+            plain, _ = run_scenario(serve_spec(scheme, CHAOS_LOAD, duration), platform)
             parity_ok = parity_ok and chaotic == plain
 
     # Recovery armed, nothing fails: request results must be identical.
@@ -253,12 +205,12 @@ def chaos_bench(
 
     # The headline cells: one data server crashes mid-workload.
     for scheme in schemes:
-        run(f"crash-{scheme}", scheme, faults=crash, recovery=CHAOS_RECOVERY)
+        run(f"crash-{scheme}", scheme, chaos=crash, recovery=CHAOS_RECOVERY)
     unrep = run(
         "crash-TS-unreplicated",
         "TS",
         replicated=False,
-        faults=crash,
+        chaos=crash,
         recovery=CHAOS_RECOVERY,
     )
 
@@ -273,20 +225,15 @@ def chaos_bench(
             "degraded-DAS",
             "DAS",
             replicated=False,
-            faults=crash,
+            chaos=crash,
             recovery=CHAOS_RECOVERY,
         )
 
     # Storm: every fault kind at once against DAS.
-    run("storm-DAS", "DAS", faults=storm, recovery=CHAOS_RECOVERY)
+    run("storm-DAS", "DAS", chaos=storm_spec, recovery=CHAOS_RECOVERY)
 
     if chaos_spec:
-        run(
-            "custom-DAS",
-            "DAS",
-            faults=FaultPlan.parse(chaos_spec),
-            recovery=CHAOS_RECOVERY,
-        )
+        run("custom-DAS", "DAS", chaos=chaos_spec, recovery=CHAOS_RECOVERY)
 
     crash_cells = [summaries[f"crash-{s}"] for s in schemes]
     #: Schemes whose serving path can survive the crash: TS reads fail
@@ -395,7 +342,7 @@ def chaos_bench(
         (
             "storm cell applied every fault kind and settled every"
             " admitted request",
-            storm_faults["events_applied"] == len(storm)
+            storm_faults["events_applied"] == len(FaultPlan.parse(storm_spec))
             and storm_faults["disk_degraded"] == 1
             and storm_faults["link_cuts"] == 1
             and summaries["storm-DAS"]["admitted"]
@@ -410,65 +357,35 @@ def chaos_bench(
         )
     )
 
-    if trace_dir is not None:
-        from .tracing import traced_replay
+    # The storm cell exercises the whole fault vocabulary — crash, disk
+    # slowdown, link cut, timeouts, retries, hedges — so its trace
+    # carries every instant-event kind the exporter knows.
+    checks += replays.traced(
+        "chaos_storm_DAS",
+        runs["storm-DAS"],
+        summaries["storm-DAS"],
+        {"bench": "chaos-bench", "cell": "storm-DAS", "duration": duration},
+    )
 
-        # The storm cell exercises the whole fault vocabulary — crash,
-        # disk slowdown, link cut, timeouts, retries, hedges — so its
-        # trace carries every instant-event kind the exporter knows.
-        trace_checks, _ = traced_replay(
-            "chaos_storm_DAS",
-            lambda tracer: chaos_cell(
-                "DAS", duration, faults=storm, recovery=CHAOS_RECOVERY,
-                platform=platform, tracer=tracer,
-            ),
-            summaries["storm-DAS"],
-            trace_dir,
-            meta={"bench": "chaos-bench", "cell": "storm-DAS",
-                  "duration": duration},
-            sample=1.0 / max(1, int(trace_sample)),
-        )
-        checks += trace_checks
+    # The NAS crash cell is the one whose faults *show*: NAS offloads with
+    # no decision plane, so execs landing on the dead server fail until it
+    # recovers — the availability and latency budgets burn on both
+    # windows, page, and resolve once the server heals.  (DAS cells mask
+    # the same faults via fallback + hedging; their ledgers staying empty
+    # is the bench's whole point.)
+    if "NAS" in schemes:
+        t_cell, expect = "crash-NAS", ("availability-burn", "latency-burn")
+    else:
+        t_cell, expect = "storm-DAS", ()
+    aux_checks = replays.sampled(
+        f"chaos_{t_cell.replace('-', '_')}",
+        runs[t_cell],
+        summaries[t_cell],
+        {"bench": "chaos-bench", "cell": t_cell, "duration": duration},
+        expect_alerts=expect,
+    )
 
-    aux_checks = []
-    if telemetry_dir is not None:
-        from .telemetry import telemetry_replay
-
-        # The NAS crash cell is the one whose faults *show*: NAS offloads
-        # with no decision plane, so execs landing on the dead server
-        # fail until it recovers — the availability and latency budgets
-        # burn on both windows, page, and resolve once the server heals.
-        # (DAS cells mask the same faults via fallback + hedging; their
-        # ledgers staying empty is the bench's whole point.)
-        if "NAS" in schemes:
-            t_cell, t_scheme = "crash-NAS", "NAS"
-            expect = ("availability-burn", "latency-burn")
-        else:
-            t_cell, t_scheme = "storm-DAS", "DAS"
-            expect = ()
-
-        def _telemetered(config):
-            summary, system = chaos_cell_system(
-                t_scheme,
-                duration,
-                faults=storm if t_cell == "storm-DAS" else crash,
-                recovery=CHAOS_RECOVERY,
-                platform=platform,
-                telemetry=config,
-            )
-            return summary, system.telemetry
-
-        telemetry_checks, _ = telemetry_replay(
-            f"chaos_{t_cell.replace('-', '_')}",
-            _telemetered,
-            summaries[t_cell],
-            telemetry_dir,
-            meta={"bench": "chaos-bench", "cell": t_cell, "duration": duration},
-            expect_fired=expect,
-            expect_resolved=expect,
-        )
-        aux_checks += telemetry_checks
-
+    topology = SERVE_CELL.topology
     return ExperimentReport(
         experiment="chaos-bench",
         title="Fault injection: availability and failover, TS/NAS/DAS",
@@ -476,7 +393,8 @@ def chaos_bench(
         checks=checks,
         aux_checks=aux_checks,
         notes=(
-            f"{SERVE_NODES} nodes (half storage), {RASTER[0]}x{RASTER[1]} rasters,"
+            f"{topology.nodes} nodes (half storage),"
+            f" {topology.raster[0]}x{topology.raster[1]} rasters,"
             f" load x{CHAOS_LOAD:g} for {duration:g}s per cell; crash at"
             f" {CRASH_AT:g}, recovery at {RECOVER_AT:g} of the run; faulted-cell"
             f" deadline {CHAOS_DEADLINE:g}s; recovery policy"

@@ -1,68 +1,23 @@
-"""Shared plumbing for the serving benches.
+"""Shared plumbing for the benches: timing and duration scaling.
 
-Every serving bench (`serve_bench`, `chaos_bench`, `autoscale_bench`,
-`scenario_bench`) runs cells over the same throttled platform: build a
-cluster, seed an RNG from the platform, ingest the workload's files
-under some placement policy, run a :class:`~repro.serve.ServeSystem`.
-Before this module each bench carried its own copy of that plumbing
-(plus its own duration-scaling arithmetic and argparse boilerplate);
-now they share one implementation, and the committed ``BENCH_*.json``
-baselines pin that the refactor did not perturb a single event: the
-helpers here reproduce the original construction sequence — RNG draw
-order included — exactly.
+How a serving cell is *built* is not here — every bench states its
+cells as :class:`~repro.scenarios.ScenarioSpec` values and
+:func:`~repro.scenarios.build_scenario` materialises them; how a cell
+is *replayed* (verify / traced / sampled) lives in
+:mod:`~repro.harness.replays`.  This module keeps what is left: the
+wall-clock + engine-event timer every ``BENCH_*.json`` payload is
+stamped with and the ``scale`` -> duration convention.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import math
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional
 
-import numpy as np
-
-from ..config import PlatformSpec
-from ..core import KernelFeatures, LayoutOptimizer
-from ..errors import HarnessError
-from ..pfs.layout import RoundRobinLayout
 from ..sim.core import events_dispatched_total
-from ..units import KiB, MiB, us
-from ..workloads import fractal_dem
-from .platform import ExperimentPlatform, build_platform, ingest_for_scheme
-
-#: Node count of the serving benches (half storage, half compute).
-SERVE_NODES = 8
-
-#: PFS strip size of the serving benches.
-SERVE_STRIP = 4 * KiB
-
-#: Raster shape ingested per file (196608-byte float64 raster).
-RASTER = (128, 192)
-
-#: Files the serving benches ingest and tenants read.
-SERVE_FILES = ("dem_a", "dem_b")
-
-#: Throttled platform: a few requests/second saturate 4 storage nodes,
-#: so queueing dynamics appear at simulable request counts.  Ratios
-#: (NIC below disk, kernels cheap per element vs. moving the element)
-#: match the paper's premise.
-SERVE_SPEC = PlatformSpec(
-    nic_bandwidth=4 * MiB,
-    nic_latency=500 * us,
-    rpc_overhead=200 * us,
-    disk_bandwidth=16 * MiB,
-    kernel_cost={
-        "default": 16e-6,
-        "flow-routing": 24e-6,
-        "flow-accumulation": 32e-6,
-        "gaussian": 40e-6,
-    },
-)
-
-#: Ingest placement policies :func:`ingest_files` understands.
-INGEST_POLICIES = ("scheme", "replicated", "partition")
+from ..units import KiB
 
 
 class BenchTiming:
@@ -134,159 +89,3 @@ def scaled_duration(scale: Optional[float], base: float, floor: float) -> float:
     if scale is None:
         return base
     return max(floor, base * float(scale) / (1024 * KiB))
-
-
-def serve_platform(
-    platform: Optional[ExperimentPlatform] = None,
-) -> ExperimentPlatform:
-    """The serving benches' default platform (throttled spec, 4 KiB strips)."""
-    return platform or ExperimentPlatform(spec=SERVE_SPEC, strip_size=SERVE_STRIP)
-
-
-def build_serve_platform(platform: Optional[ExperimentPlatform] = None):
-    """``(cluster, pfs)`` for one serving cell on the bench platform."""
-    return build_platform(SERVE_NODES, serve_platform(platform))
-
-
-def replicated_ingest(pfs, name: str, data: np.ndarray) -> None:
-    """Ingest ``data`` fully neighbour-replicated: one group per server
-    with ``halo_strips == group``, so every strip lives on its primary
-    and both neighbouring servers and any single crash is survivable."""
-    n_strips = max(1, math.ceil(data.nbytes / pfs.strip_size))
-    group = max(1, math.ceil(n_strips / len(pfs.server_names)))
-    layout = pfs.replicated_grouped(group, halo_strips=group)
-    pfs.client(pfs.cluster.compute_names[0]).ingest(name, data, layout)
-
-
-def ingest_partition(pfs, name, data, operator, servers) -> None:
-    """DAS-aware ingest confined to the ``servers`` partition.
-
-    Mirrors :func:`~repro.harness.platform.ingest_for_scheme` but plans
-    the improved distribution over a *subset* of the storage servers, so
-    a cell can start on the small partition the way a cost-conscious
-    deployment would.
-    """
-    client = pfs.client(pfs.cluster.compute_names[0])
-    tmp_layout = RoundRobinLayout(servers, pfs.strip_size)
-    meta = pfs.metadata.create(
-        f"__plan__{name}", data.nbytes, tmp_layout, dtype=data.dtype,
-        shape=data.shape,
-    )
-    plan = LayoutOptimizer().plan(
-        meta, KernelFeatures.from_registry().get(operator), servers=servers
-    )
-    pfs.metadata.unlink(f"__plan__{name}")
-    client.ingest(name, data, plan.layout if plan.layout is not None else tmp_layout)
-
-
-def ingest_files(
-    pfs,
-    scheme: str,
-    rng: np.random.Generator,
-    policy: str = "scheme",
-    names: Sequence[str] = SERVE_FILES,
-    raster: Tuple[int, int] = RASTER,
-    operator: str = "gaussian",
-    servers: Optional[Sequence[str]] = None,
-) -> None:
-    """Generate and place each bench file under one placement policy.
-
-    ``"scheme"`` places the way the scheme's I/O stack would have
-    (round-robin for TS/NAS, the optimizer's improved distribution for
-    DAS); ``"replicated"`` uses :func:`replicated_ingest` (survives any
-    single crash); ``"partition"`` plans the DAS distribution over the
-    ``servers`` subset.  One raster is drawn from ``rng`` per name, in
-    order — the exact draw sequence the benches always used.
-    """
-    if policy not in INGEST_POLICIES:
-        raise HarnessError(
-            f"unknown ingest policy {policy!r} (expected one of {INGEST_POLICIES})"
-        )
-    if policy == "partition" and not servers:
-        raise HarnessError("ingest policy 'partition' needs a server subset")
-    for name in names:
-        data = fractal_dem(*raster, rng=rng)
-        if policy == "scheme":
-            ingest_for_scheme(pfs, scheme, name, data, operator)
-        elif policy == "replicated":
-            replicated_ingest(pfs, name, data)
-        else:
-            ingest_partition(pfs, name, data, operator, servers)
-
-
-def add_bench_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The flags every bench entry point shares (see the harness runner)."""
-    parser.add_argument(
-        "--scale-kb",
-        type=int,
-        default=1024,
-        help="simulated KiB per paper GB label (default 1024)",
-    )
-    parser.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip output-vs-reference verification (faster)",
-    )
-    parser.add_argument(
-        "--output-dir",
-        default=None,
-        metavar="DIR",
-        help="also save each report as DIR/<experiment>.json and .csv",
-    )
-    parser.add_argument(
-        "--bench-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "write the machine-readable perf trajectory"
-            " (BENCH_serve.json / BENCH_paper.json / BENCH_scenarios.json)"
-            " under DIR"
-        ),
-    )
-    parser.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "serve/chaos/autoscale/scenario benches: re-run one"
-            " representative cell with request tracing on, write"
-            " DIR/<cell>.trace.json (Perfetto-loadable) and"
-            " <cell>.attribution.json, and check the traced run is"
-            " bit-identical to the untraced one"
-        ),
-    )
-    parser.add_argument(
-        "--trace-sample",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "with --trace-dir: trace only every Nth request"
-            " (deterministic by request id; default 1 = every request)"
-        ),
-    )
-    parser.add_argument(
-        "--telemetry-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "serve/chaos/autoscale/fleet benches: re-run one"
-            " representative cell with the clock-driven telemetry"
-            " sampler + alert engine on, write DIR/<cell>.telemetry.json"
-            " (validated by scripts/check_telemetry.py), and check the"
-            " sampled run is bit-identical to the unsampled one"
-        ),
-    )
-    return parser
-
-
-def save_reports(output_dir, reports) -> None:
-    """Write each report as ``<experiment>.json``/``.csv`` under a dir."""
-    from pathlib import Path
-
-    from .export import save_report
-
-    base = Path(output_dir)
-    for report in reports:
-        for suffix in (".json", ".csv"):
-            save_report(report, base / f"{report.experiment}{suffix}")

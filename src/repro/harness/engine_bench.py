@@ -26,10 +26,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..scenarios import run_scenario
 from ..sim.core import Environment
 from ..sim.resources import Resource, Store
 from .common import bench_timer, scaled_duration
-from .experiments import ExperimentReport
+from .experiment_report import ExperimentReport
+from .serve_bench import serve_spec
 
 #: (processes, rounds) of the timeout storm at scale 1024 KiB.
 STORM_SHAPE = (200, 500)
@@ -188,12 +190,12 @@ def engine_bench(
 
     # One end-to-end serving cell: the requests-per-wall-second figure
     # on the real stack (kernels, PFS, fluid network, scheduler).
-    from .serve_bench import serve_cell
-
     scheme, load, batch_max = SERVE_CELL
     duration = scaled_duration(scale, SERVE_CELL_DURATION, 0.25)
     with bench_timer() as timing:
-        summary = serve_cell(scheme, load, duration=duration, batch_max=batch_max)
+        summary, _ = run_scenario(
+            serve_spec(scheme, load, duration, batch_max=batch_max)
+        )
     settled = int(summary["settled"])  # type: ignore[arg-type]
     wall = timing.wall_seconds
     rows.append(

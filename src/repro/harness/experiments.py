@@ -17,53 +17,27 @@ Paper experiment map:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import dataclasses
+from typing import Callable, Dict, Optional, Sequence
 
 from ..errors import UnknownExperimentError
 from ..kernels import default_registry
-from ..metrics.report import format_checks, format_table
 from ..workloads import PAPER_DATA_SIZES_GB, PAPER_NODE_COUNTS
+from .autoscale_bench import autoscale_bench
+from .chaos_bench import chaos_bench
+from .engine_bench import engine_bench
+from .experiment_report import ExperimentReport
+from .fleet_bench import fleet_bench
 from .platform import ExperimentPlatform
 from .runs import RunRecord, run_label_cell
+from .scenario_bench import scenario_bench
+from .serve_bench import serve_bench
 
 #: The paper's three evaluation kernels (Table I).
 PAPER_KERNELS = ("flow-routing", "flow-accumulation", "gaussian")
 
 #: Node count used by Figs. 10–12 and 14 (12 storage + 12 compute).
 DEFAULT_NODES = 24
-
-
-@dataclass
-class ExperimentReport:
-    """Everything one experiment produced."""
-
-    experiment: str
-    title: str
-    rows: List[dict]
-    checks: List[Tuple[str, bool]] = field(default_factory=list)
-    notes: str = ""
-    #: Checks from diagnostic replays (e.g. the telemetry sampler's
-    #: non-perturbation proof).  They gate the run like ``checks`` do,
-    #: but stay out of the recorded ``BENCH_*.json`` trajectory: the
-    #: payload must be bit-identical whether or not a diagnostic flag
-    #: was passed.
-    aux_checks: List[Tuple[str, bool]] = field(default_factory=list)
-
-    @property
-    def all_checks_pass(self) -> bool:
-        return all(ok for _, ok in self.checks) and all(
-            ok for _, ok in self.aux_checks
-        )
-
-    def to_text(self) -> str:
-        parts = [f"== {self.experiment}: {self.title} =="]
-        if self.notes:
-            parts.append(self.notes)
-        parts.append(format_table(self.rows))
-        if self.checks or self.aux_checks:
-            parts.append(format_checks(self.checks + self.aux_checks))
-        return "\n\n".join(parts)
 
 
 def _grid(
@@ -365,25 +339,17 @@ def ext_oversub(
     bisection while a pre-distributed DAS offload, whose traffic stays
     inside the storage partition, does not.
     """
-    from ..config import PlatformSpec
-    from .platform import ExperimentPlatform
-
     base_platform = platform or ExperimentPlatform()
     n_storage = max(1, round(nodes * base_platform.storage_fraction))
     rows = []
     times: Dict[tuple, float] = {}
     for factor in factors:
-        spec: PlatformSpec = base_platform.spec
+        spec = base_platform.spec
         if factor > 1:
             spec = spec.with_overrides(
                 bisection_bandwidth=n_storage * spec.nic_bandwidth / factor
             )
-        oversub_platform = ExperimentPlatform(
-            spec=spec,
-            strip_size=base_platform.strip_size,
-            storage_fraction=base_platform.storage_fraction,
-            seed=base_platform.seed,
-        )
+        oversub_platform = dataclasses.replace(base_platform, spec=spec)
         for scheme in ("TS", "DAS"):
             rec = run_label_cell(
                 scheme, "gaussian", size_gb, nodes, oversub_platform, scale, verify
@@ -422,21 +388,6 @@ def ext_oversub(
     )
 
 
-from .autoscale_bench import autoscale_bench  # noqa: E402  (needs ExperimentReport above)
-from .chaos_bench import chaos_bench  # noqa: E402  (needs ExperimentReport above)
-from .engine_bench import engine_bench  # noqa: E402  (needs ExperimentReport above)
-from .fleet_bench import fleet_bench  # noqa: E402  (needs ExperimentReport above)
-from .serve_bench import serve_bench  # noqa: E402  (needs ExperimentReport above)
-
-
-def _scenario_bench(**kwargs) -> ExperimentReport:
-    # Imported lazily: scenario_bench is also a runnable module
-    # (``python -m repro.harness.scenario_bench``), and importing it
-    # here would shadow that execution with a stale sys.modules entry.
-    from .scenario_bench import scenario_bench
-
-    return scenario_bench(**kwargs)
-
 #: Experiment id -> regenerator.
 EXPERIMENTS: Dict[str, Callable[..., ExperimentReport]] = {
     "table1": table1,
@@ -450,7 +401,7 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentReport]] = {
     "engine-bench": engine_bench,
     "chaos-bench": chaos_bench,
     "autoscale-bench": autoscale_bench,
-    "scenario-bench": _scenario_bench,
+    "scenario-bench": scenario_bench,
     "fleet-bench": fleet_bench,
 }
 

@@ -1,6 +1,6 @@
 """Export experiment reports as JSON or CSV artifacts.
 
-Every :class:`~repro.harness.experiments.ExperimentReport` can be
+Every :class:`~repro.harness.experiment_report.ExperimentReport` can be
 persisted for downstream plotting — the rows are exactly the series the
 paper's figures plot.
 """
@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from ..errors import HarnessError
-from .experiments import ExperimentReport
+from .experiment_report import ExperimentReport
 
 
 def report_to_json(report: ExperimentReport) -> str:
@@ -64,3 +64,11 @@ def save_report(report: ExperimentReport, path: str | Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return path
+
+
+def save_reports(output_dir: str | Path, reports) -> None:
+    """Write each report as ``<experiment>.json``/``.csv`` under a dir."""
+    base = Path(output_dir)
+    for report in reports:
+        for suffix in (".json", ".csv"):
+            save_report(report, base / f"{report.experiment}{suffix}")

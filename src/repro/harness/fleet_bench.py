@@ -34,25 +34,23 @@ under the usual zero-perturbation contract.  The report lands in
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..faults import FaultPlan
 from ..fleet import Cell, FleetSystem, LongtailStream
-from ..serve import AutoscalePolicy, ServeConfig, TenantSpec
+from ..scenarios import ScenarioSpec, build_scenario
+from ..scenarios.platform import ExperimentPlatform
+from ..serve import AutoscalePolicy, TenantSpec
 from ..sim import Environment
 from ..units import KiB, MiB
+from .autoscale_bench import MAX_SERVERS, MIN_SERVERS
+from .autoscale_bench import POLICY as BUDGET_POLICY
 from .chaos_bench import CHAOS_RECOVERY
-from .common import (
-    RASTER,
-    SERVE_NODES,
-    ingest_files,
-    scaled_duration,
-    serve_platform,
-)
-from .experiments import ExperimentReport
-from .platform import ExperimentPlatform, build_platform
+from .common import scaled_duration
+from .experiment_report import ExperimentReport
+from .replays import Replays
+from .serve_bench import SERVE_CELL
 
 #: Seconds of offered load per fleet run at the default scale.
 DURATION = 6.0
@@ -81,25 +79,11 @@ COHORT_RATE = 8.0
 LONGTAIL_BYTES = 64 * KiB
 LONGTAIL_CAPACITY = 8 * MiB
 
-#: Autoscale clamp of each budget-run cell; the fleet budget is set
-#: between ``2 * MIN_SERVERS`` and ``2 * MAX_SERVERS`` so the surge
-#: makes the cells compete for headroom.
-MIN_SERVERS = 2
-MAX_SERVERS = 4
+#: The budget-run cells use autoscale-bench's clamp and control loop
+#: (:data:`BUDGET_POLICY`); the fleet budget is set between
+#: ``2 * MIN_SERVERS`` and ``2 * MAX_SERVERS`` so the surge makes the
+#: cells compete for headroom.
 FLEET_BUDGET = 5
-
-#: Control loop of the budget-run cells (autoscale-bench's shape).
-BUDGET_POLICY = AutoscalePolicy(
-    min_servers=MIN_SERVERS,
-    max_servers=MAX_SERVERS,
-    interval=0.25,
-    p99_high=0.5,
-    p99_low=0.25,
-    queue_high=8,
-    breach_ticks=2,
-    calm_ticks=4,
-    cooldown=1.0,
-)
 
 
 def fleet_tenants() -> Tuple[TenantSpec, ...]:
@@ -130,18 +114,15 @@ def fleet_tenants() -> Tuple[TenantSpec, ...]:
     )
 
 
-def chaos_plan(pfs, duration: float) -> FaultPlan:
+def chaos_schedule(duration: float) -> str:
     """The stricken cell's schedule: a disk slowdown bracketing a
     crash/recovery round trip, everything healed by 0.8 of the run."""
-    storage = pfs.cluster.storage_names
-    return FaultPlan.parse(
-        ";".join(
-            (
-                f"slow:{storage[2]}@{0.15 * duration:g}x0.05",
-                f"crash:{storage[1]}@{0.3 * duration:g}",
-                f"recover:{storage[1]}@{0.6 * duration:g}",
-                f"restore:{storage[2]}@{0.8 * duration:g}",
-            )
+    return ";".join(
+        (
+            f"slow:s2@{0.15 * duration:g}x0.05",
+            f"crash:s1@{0.3 * duration:g}",
+            f"recover:s1@{0.6 * duration:g}",
+            f"restore:s2@{0.8 * duration:g}",
         )
     )
 
@@ -164,45 +145,35 @@ def longtail_streams(n_cells: int, duration: float) -> Tuple[LongtailStream, ...
     )
 
 
-def build_cell(
-    env: Environment,
-    name: str,
+def cell_spec(
     tenants: Tuple[TenantSpec, ...],
     duration: float,
-    platform: Optional[ExperimentPlatform] = None,
     chaos: bool = False,
     autoscale: Optional[AutoscalePolicy] = None,
-) -> Cell:
-    """One serving cell on the shared fleet clock.
+) -> ScenarioSpec:
+    """One serving cell of the fleet as a spec value.
 
-    Every cell ingests the same rasters from the same platform seed —
+    Every cell ingests the same rasters from the same seed —
     neighbour-replicated, so any cell survives a single crash and a
     request produces the same bytes wherever the router lands it.  The
     autoscaled cells ingest onto the small partition instead (the
     controller needs headroom to grow into).
     """
-    platform = serve_platform(platform)
-    _, pfs = build_platform(SERVE_NODES, platform, env=env)
-    rng = np.random.default_rng(platform.seed)
     if autoscale is not None:
-        subset = pfs.server_names[: autoscale.min_servers]
-        ingest_files(pfs, "DAS", rng, policy="partition", servers=subset)
+        placement = dict(ingest="partition", partition_servers=autoscale.min_servers)
     else:
-        ingest_files(pfs, "DAS", rng, policy="replicated")
-    plan = chaos_plan(pfs, duration) if chaos else None
-    config = ServeConfig(
+        placement = dict(ingest="replicated")
+    return replace(
+        SERVE_CELL,
+        topology=replace(SERVE_CELL.topology, **placement),
         tenants=tenants,
-        scheme="DAS",
         duration=duration,
         deadline=FLEET_DEADLINE,
-        concurrency=8,
-        queue_capacity=12,
-        faults=plan,
-        recovery=CHAOS_RECOVERY if plan is not None else None,
-        decision_ttl=1.0 if plan is not None else None,
+        chaos=chaos_schedule(duration) if chaos else None,
+        recovery=CHAOS_RECOVERY if chaos else None,
+        decision_ttl=1.0 if chaos else None,
         autoscale=autoscale,
     )
-    return Cell(name, pfs, config)
 
 
 def fleet_run(
@@ -223,18 +194,15 @@ def fleet_run(
     """One federated run: fresh clock, ``n_cells`` identical cells (bar
     the chaos plan / autoscale clamp), one router, one controller."""
     env = Environment()
-    cells = [
-        build_cell(
-            env,
-            f"cell-{i}",
+    cells = []
+    for i in range(n_cells):
+        spec = cell_spec(
             tenants,
             duration,
-            platform=platform,
             chaos=chaos_cell == i,
             autoscale=BUDGET_POLICY if autoscale else None,
         )
-        for i in range(n_cells)
-    ]
+        cells.append(Cell(f"cell-{i}", *build_scenario(spec, platform, env=env)))
     fleet = FleetSystem(
         env,
         cells,
@@ -312,6 +280,7 @@ def fleet_bench(
     checks only assert on full-length runs — conservation, placement
     invariance, scaling and replay assert always.
     """
+    replays = Replays(verify, trace_dir, trace_sample, telemetry_dir)
     duration = scaled_duration(scale, DURATION, 1.5)
     full_length = duration >= DURATION
     tenants = fleet_tenants()
@@ -321,9 +290,11 @@ def fleet_bench(
     rows: List[dict] = []
     summaries: Dict[str, Dict[str, object]] = {}
     systems: Dict[str, FleetSystem] = {}
+    runs = {}
 
     def run(label: str, **kw) -> Dict[str, object]:
-        summary, system = fleet_run(platform=platform, **kw)
+        runs[label] = partial(fleet_run, platform=platform, **kw)
+        summary, system = runs[label]()
         summaries[label] = summary
         systems[label] = system
         rows.extend(_rows(label, summary))
@@ -542,93 +513,36 @@ def fleet_bench(
             ),
         )
     )
-    if verify:
-        replay, _ = fleet_run(
-            n_cells=3,
-            tenants=tenants,
-            duration=duration,
-            policy="sticky",
-            assignments=sticky_3,
-            chaos_cell=0,
-            longtail=True,
-            platform=platform,
-        )
-        checks.append(
-            (
-                "bit-identical replay: the isolation run reproduces the"
-                " same fleet summary (placements, health transitions and"
-                " per-request digests included) from the same seed",
-                replay == isolation,
-            )
-        )
-
-    if trace_dir is not None:
-        from .tracing import traced_replay
-
-        trace_checks, _ = traced_replay(
-            "fleet_isolation",
-            lambda tracer: fleet_run(
-                n_cells=3,
-                tenants=tenants,
-                duration=duration,
-                policy="sticky",
-                assignments=sticky_3,
-                chaos_cell=0,
-                longtail=True,
-                platform=platform,
-                tracer=tracer,
-            )[0],
-            isolation,
-            trace_dir,
-            meta={"bench": "fleet-bench", "run": "isolation",
-                  "duration": duration},
-            sample=1.0 / max(1, int(trace_sample)),
-        )
-        checks += trace_checks
-
-    aux_checks = []
-    if telemetry_dir is not None:
-        from .telemetry import telemetry_replay
-
-        # The isolation run in alert form: the router's probes page
-        # fleet-unhealthy while cell-0 rides out its faults (and resolve
-        # it once healed), spillover tickets while traffic diverts, and
-        # the stricken cell's own admission heartbeat stalls mid-crash.
-        # The healthy cells' ledgers staying empty IS the isolation
-        # claim.  Reduced-scale runs skip the expectations with the
-        # other lifecycle checks.
-        expect = (
+    rerun = runs["isolation"]
+    meta = {"bench": "fleet-bench", "run": "isolation", "duration": duration}
+    checks += replays.verified(
+        "bit-identical replay: the isolation run reproduces the"
+        " same fleet summary (placements, health transitions and"
+        " per-request digests included) from the same seed",
+        rerun,
+        isolation,
+    )
+    checks += replays.traced("fleet_isolation", rerun, isolation, meta)
+    # The isolation run in alert form: the router's probes page
+    # fleet-unhealthy while cell-0 rides out its faults (and resolve it
+    # once healed), spillover tickets while traffic diverts, and the
+    # stricken cell's own admission heartbeat stalls mid-crash.  The
+    # healthy cells' ledgers staying empty IS the isolation claim.
+    # Reduced-scale runs skip the expectations with the other lifecycle
+    # checks.
+    aux_checks = replays.sampled(
+        "fleet_isolation",
+        rerun,
+        isolation,
+        meta,
+        expect_alerts=(
             ("fleet-unhealthy", "fleet-spillover", "admission-stall")
             if full_length
             else ()
-        )
+        ),
+    )
 
-        def _telemetered(config):
-            summary, system = fleet_run(
-                n_cells=3,
-                tenants=tenants,
-                duration=duration,
-                policy="sticky",
-                assignments=sticky_3,
-                chaos_cell=0,
-                longtail=True,
-                platform=platform,
-                telemetry=config,
-            )
-            return summary, system.telemetry
-
-        telemetry_checks, _ = telemetry_replay(
-            "fleet_isolation",
-            _telemetered,
-            isolation,
-            telemetry_dir,
-            meta={"bench": "fleet-bench", "run": "isolation",
-                  "duration": duration},
-            expect_fired=expect,
-            expect_resolved=expect,
-        )
-        aux_checks += telemetry_checks
-
+    topology = SERVE_CELL.topology
     return ExperimentReport(
         experiment="fleet-bench",
         title="Fleet federation: isolation, spillover, placement, scaling",
@@ -636,7 +550,8 @@ def fleet_bench(
         checks=checks,
         aux_checks=aux_checks,
         notes=(
-            f"{SERVE_NODES}-node cells (half storage), {RASTER[0]}x{RASTER[1]}"
+            f"{topology.nodes}-node cells (half storage),"
+            f" {topology.raster[0]}x{topology.raster[1]}"
             f" rasters replicated per cell, {duration:g}s per run, deadline"
             f" {FLEET_DEADLINE:g}s; chaos = slow+crash+recover in cell-0;"
             f" long-tail {LONGTAIL_BYTES // KiB} KiB requests over"

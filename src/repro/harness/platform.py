@@ -1,75 +1,35 @@
-"""Experiment platform: cluster construction and scheme-aware ingest.
+"""The paper-bench side of the platform: operator inputs and references.
 
-The paper's testbed allocates N nodes and configures half as storage
-nodes, half as compute nodes ("the default ratio is 1:1.  With this
-configuration, NAS, DAS and TS would have the same computation
-capability").  :func:`build_platform` reproduces that split.
-
-Ingest policy: files feeding TS and NAS runs are striped round-robin
-(the parallel-file-system default the paper evaluates).  Files feeding
-DAS runs are placed in the optimizer's improved distribution at ingest
-— data written *through* the DAS layer is arranged for its expected
-operations ("the dynamic active storage calculates an appropriate data
-distribution method ... and arranges the data"), so the measured
-operation does not pay a redistribution it would only pay once per
-dataset lifetime.  The cold-start case (round-robin data adopted by
-DAS at first use) is measured separately by the ablation benches.
+How a cluster is built and how files are placed at ingest is decided in
+:mod:`repro.scenarios.platform` (the harness builds on the scenario
+package, never the reverse); :class:`ExperimentPlatform`,
+:func:`build_platform` and :func:`ingest_for_scheme` are imported from
+there.  What stays here is specific to the one-shot paper experiments:
+the raster each operator consumes and its memoised sequential
+reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Tuple
 
 import numpy as np
 
-from ..config import PlatformSpec, SimConfig
-from ..core import KernelFeatures, LayoutOptimizer
-from ..errors import HarnessError
-from ..hw.cluster import Cluster
 from ..kernels import default_registry
-from ..pfs.filesystem import ParallelFileSystem
-from ..units import KiB
+from ..scenarios.platform import (
+    ExperimentPlatform,
+    build_platform,
+    ingest_for_scheme,
+)
 from ..workloads import DatasetSpec
 
-
-@dataclass(frozen=True)
-class ExperimentPlatform:
-    """Everything fixed across one experiment's runs."""
-
-    spec: PlatformSpec = field(default_factory=PlatformSpec)
-    strip_size: int = 64 * KiB
-    #: Ratio of storage nodes to total nodes (paper default 1:1).
-    storage_fraction: float = 0.5
-    seed: int = 20120910
-
-
-def build_platform(
-    n_nodes: int,
-    platform: Optional[ExperimentPlatform] = None,
-    env=None,
-) -> Tuple[Cluster, ParallelFileSystem]:
-    """A cluster of ``n_nodes`` with the paper's storage/compute split.
-
-    ``env`` threads a shared :class:`~repro.sim.Environment` through to
-    :meth:`Cluster.build` so several platforms (fleet cells) can live on
-    one simulation clock; the default builds a fresh environment.
-    """
-    platform = platform or ExperimentPlatform()
-    n_storage = max(1, round(n_nodes * platform.storage_fraction))
-    n_compute = n_nodes - n_storage
-    if n_compute < 1:
-        raise HarnessError(f"{n_nodes} nodes leave no compute partition")
-    cluster = Cluster.build(
-        n_compute=n_compute,
-        n_storage=n_storage,
-        spec=platform.spec,
-        sim_config=SimConfig(seed=platform.seed, strip_size=platform.strip_size),
-        env=env,
-    )
-    pfs = ParallelFileSystem(cluster, strip_size=platform.strip_size)
-    return cluster, pfs
+__all__ = [
+    "ExperimentPlatform",
+    "build_platform",
+    "ingest_for_scheme",
+    "make_input",
+    "reference_output",
+]
 
 
 def make_input(dataset: DatasetSpec, operator: str) -> np.ndarray:
@@ -92,28 +52,3 @@ def reference_output(dataset: DatasetSpec, operator: str) -> np.ndarray:
     out = default_registry.get(operator).reference(make_input(dataset, operator))
     out.setflags(write=False)
     return out
-
-
-def ingest_for_scheme(
-    pfs: ParallelFileSystem,
-    scheme: str,
-    name: str,
-    data: np.ndarray,
-    operator: str,
-) -> None:
-    """Place ``data`` the way the scheme's I/O stack would have."""
-    client = pfs.client(pfs.cluster.compute_names[0])
-    if scheme == "DAS":
-        # DAS-aware ingest: plan the improved distribution up front.
-        tmp_layout = pfs.round_robin()
-        meta = pfs.metadata.create(
-            f"__plan__{name}", data.nbytes, tmp_layout, dtype=data.dtype,
-            shape=data.shape,
-        )
-        features = KernelFeatures.from_registry()
-        plan = LayoutOptimizer().plan(meta, features.get(operator))
-        pfs.metadata.unlink(f"__plan__{name}")
-        layout = plan.layout if plan.layout is not None else tmp_layout
-        client.ingest(name, data, layout)
-    else:
-        client.ingest(name, data, pfs.round_robin())

@@ -14,12 +14,15 @@ same shape.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import List, Optional
 
 from ..units import KiB
-from .common import add_bench_arguments, bench_timer
+from .common import bench_timer
 from .experiments import EXPERIMENTS, run_experiment
+from .export import save_reports
+from .trajectory import write_trajectory
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,7 +40,67 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(EXPERIMENTS) + ["all"],
         help="experiment id (paper table/figure) or 'all'",
     )
-    add_bench_arguments(parser)
+    parser.add_argument(
+        "--scale-kb",
+        type=int,
+        default=1024,
+        help="simulated KiB per paper GB label (default 1024)",
+    )
+    parser.add_argument(
+        "--no-verify",
+        action="store_true",
+        help="skip output-vs-reference verification (faster)",
+    )
+    parser.add_argument(
+        "--output-dir",
+        default=None,
+        metavar="DIR",
+        help="also save each report as DIR/<experiment>.json and .csv",
+    )
+    parser.add_argument(
+        "--bench-dir",
+        default=None,
+        metavar="DIR",
+        help=(
+            "write the machine-readable perf trajectory"
+            " (BENCH_serve.json / BENCH_paper.json / BENCH_scenarios.json)"
+            " under DIR"
+        ),
+    )
+    parser.add_argument(
+        "--trace-dir",
+        default=None,
+        metavar="DIR",
+        help=(
+            "serving benches: re-run one"
+            " representative cell with request tracing on, write"
+            " DIR/<cell>.trace.json (Perfetto-loadable) and"
+            " <cell>.attribution.json, and check the traced run is"
+            " bit-identical to the untraced one"
+        ),
+    )
+    parser.add_argument(
+        "--trace-sample",
+        type=int,
+        default=1,
+        metavar="N",
+        help=(
+            "with --trace-dir: trace only every Nth request"
+            " (deterministic by request id; default 1 = every request)"
+        ),
+    )
+    parser.add_argument(
+        "--telemetry-dir",
+        default=None,
+        metavar="DIR",
+        help=(
+            "serve/chaos/autoscale/fleet benches: re-run one"
+            " representative cell with the clock-driven telemetry"
+            " sampler + alert engine on, write DIR/<cell>.telemetry.json"
+            " (validated by scripts/check_telemetry.py), and check the"
+            " sampled run is bit-identical to the unsampled one"
+        ),
+    )
     parser.add_argument(
         "--chaos-spec",
         default=None,
@@ -82,44 +145,35 @@ def main(argv: Optional[List[str]] = None) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     failures = 0
     timed = []
+    # One option set for every experiment; each regenerator receives
+    # exactly the options its signature names.
+    options = {
+        "scale": args.scale_kb * KiB,
+        "verify": not args.no_verify,
+        "batch_max": args.batch_max,
+        "chaos_spec": args.chaos_spec,
+        "scenarios": tuple(args.scenario) if args.scenario else None,
+        "trace_dir": args.trace_dir,
+        "trace_sample": args.trace_sample,
+        "telemetry_dir": args.telemetry_dir,
+    }
     for name in names:
-        kwargs = dict(scale=args.scale_kb * KiB, verify=not args.no_verify)
-        if name == "serve-bench" and args.batch_max is not None:
-            kwargs["batch_max"] = args.batch_max
-        if name == "chaos-bench" and args.chaos_spec is not None:
-            kwargs["chaos_spec"] = args.chaos_spec
-        if name == "scenario-bench" and args.scenario is not None:
-            kwargs["scenarios"] = tuple(args.scenario)
-        if args.trace_dir is not None and name in (
-            "serve-bench",
-            "chaos-bench",
-            "autoscale-bench",
-            "scenario-bench",
-            "fleet-bench",
-        ):
-            kwargs["trace_dir"] = args.trace_dir
-            kwargs["trace_sample"] = args.trace_sample
-        if args.telemetry_dir is not None and name in (
-            "serve-bench",
-            "chaos-bench",
-            "autoscale-bench",
-            "fleet-bench",
-        ):
-            kwargs["telemetry_dir"] = args.telemetry_dir
+        accepted = inspect.signature(EXPERIMENTS[name]).parameters
+        kwargs = {
+            key: value
+            for key, value in options.items()
+            if key in accepted and value is not None
+        }
         with bench_timer() as timing:
             report = run_experiment(name, **kwargs)
         timed.append((report, timing))
         print(report.to_text())
         print()
         if args.output_dir:
-            from .common import save_reports
-
             save_reports(args.output_dir, [report])
         if not report.all_checks_pass:
             failures += 1
     if args.bench_dir:
-        from .trajectory import write_trajectory
-
         for path in write_trajectory(args.bench_dir, timed, args.scale_kb):
             print(f"wrote {path}", file=sys.stderr)
     if failures:

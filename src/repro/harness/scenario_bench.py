@@ -8,9 +8,9 @@ declared checks, and proves bit-identical replay per scenario, so the
 named library under ``src/repro/scenarios/library/`` doubles as an
 executable regression suite over the serving stack::
 
-    python -m repro.harness.scenario_bench --library --bench-dir benchmarks/
-    python -m repro.harness.scenario_bench --scenario black-friday
-    python -m repro.harness.scenario_bench --scenario my_spec.json
+    python -m repro.harness scenario-bench --bench-dir benchmarks/
+    python -m repro.harness scenario-bench --scenario black-friday
+    python -m repro.harness scenario-bench --scenario my_spec.json
 
 Scenarios pin their own durations (a few simulated seconds each) so
 their calibrated check thresholds hold at every harness ``--scale-kb``;
@@ -20,8 +20,8 @@ scenario runs.
 
 from __future__ import annotations
 
-import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
 from ..scenarios import (
     ScenarioSpec,
@@ -31,7 +31,8 @@ from ..scenarios import (
     reference_spec,
     run_scenario,
 )
-from .experiments import ExperimentReport
+from .experiment_report import ExperimentReport
+from .replays import Replays
 
 #: Wall-clock cheap library members CI smokes on every push.
 SMOKE_SCENARIOS = ("rolling-upgrade", "region-loss")
@@ -88,46 +89,43 @@ def scenario_bench(
     ``verify`` re-runs each scenario and asserts the summary (resizes,
     fault tallies and digests included) is bit-identical.
     """
+    replays = Replays(verify, trace_dir, trace_sample)
     specs = _resolve(scenarios)
 
     rows = []
     checks: List[Tuple[str, bool]] = []
-    results: Dict[str, Tuple[dict, Dict[int, int]]] = {}
+    recorded = {}
     for spec in specs:
-        summary, digests = run_scenario(spec, platform=platform)
-        results[spec.name] = (summary, digests)
+        run = partial(run_scenario, spec, platform)
+        summary, system = run()
+        recorded[spec.name] = (run, summary)
         rows.append(_scenario_row(spec, summary))
         reference = None
         if any(c.check == "crc_identity" for c in spec.checks):
             # The fault-free twin every surviving result must match.
-            reference = run_scenario(reference_spec(spec), platform=platform)
+            twin_summary, twin = run_scenario(reference_spec(spec), platform)
+            reference = (twin_summary, twin.executor.digests)
         for label, ok in evaluate_checks(
-            spec.checks, summary, digests=digests, reference=reference
+            spec.checks,
+            summary,
+            digests=system.executor.digests,
+            reference=reference,
         ):
             checks.append((f"{spec.name}: {label}", ok))
-        if verify:
-            replay_summary, replay_digests = run_scenario(spec, platform=platform)
-            checks.append(
-                (
-                    f"{spec.name}: bit-identical replay (summary and"
-                    " per-request digests reproduce from the spec alone)",
-                    replay_summary == summary and replay_digests == digests,
-                )
-            )
-
-    if trace_dir is not None:
-        from .tracing import traced_replay
-
-        first = specs[0]
-        trace_checks, _ = traced_replay(
-            f"scenario-{first.name}",
-            lambda tracer: run_scenario(first, platform=platform, tracer=tracer)[0],
-            results[first.name][0],
-            trace_dir,
-            meta={"bench": "scenario-bench", "scenario": first.name},
-            sample=1.0 / max(1, int(trace_sample)),
+        checks += replays.verified(
+            f"{spec.name}: bit-identical replay (summary and"
+            " per-request digests reproduce from the spec alone)",
+            run,
+            summary,
         )
-        checks += trace_checks
+
+    if specs:
+        first = specs[0].name
+        checks += replays.traced(
+            f"scenario-{first}",
+            *recorded[first],
+            {"bench": "scenario-bench", "scenario": first},
+        )
 
     return ExperimentReport(
         experiment="scenario-bench",
@@ -141,61 +139,3 @@ def scenario_bench(
             " stretch them."
         ),
     )
-
-
-def build_parser():
-    """The standalone CLI (also introspected by scripts/check_docs.py)."""
-    import argparse
-
-    from .common import add_bench_arguments
-
-    parser = argparse.ArgumentParser(
-        prog="scenario-bench",
-        description="Run declarative scenarios and enforce their pass/fail gates.",
-    )
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--library",
-        action="store_true",
-        help="run every named scenario shipped under repro/scenarios/library/",
-    )
-    group.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME_OR_PATH",
-        help="library scenario name or spec-file path; repeatable",
-    )
-    add_bench_arguments(parser)
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.harness.scenario_bench``)."""
-    args = build_parser().parse_args(argv)
-
-    from .common import bench_timer
-
-    with bench_timer() as timing:
-        report = scenario_bench(
-            scale=args.scale_kb * 1024,
-            verify=not args.no_verify,
-            scenarios=None if args.library else args.scenario,
-            trace_dir=args.trace_dir,
-            trace_sample=args.trace_sample,
-        )
-    print(report.to_text())
-    if args.output_dir:
-        from .common import save_reports
-
-        save_reports(args.output_dir, [report])
-    if args.bench_dir:
-        from .trajectory import write_trajectory
-
-        for path in write_trajectory(args.bench_dir, [(report, timing)], args.scale_kb):
-            print(f"wrote {path}", file=sys.stderr)
-    return 0 if report.all_checks_pass else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

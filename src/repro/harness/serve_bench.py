@@ -22,30 +22,24 @@ per completed request at equal offered load, and a strictly higher
 sustained operating point — while the result digests prove batch-on
 outputs are bit-identical to batch-off.
 
-Every cell is bit-identically reproducible from the root seed; with
-``verify=True`` the bench replays one cell and asserts the summaries
-are equal.
+Every cell is a :class:`~repro.scenarios.ScenarioSpec` value — the
+base :data:`SERVE_CELL` re-aimed by :func:`serve_spec` — materialised by
+:func:`~repro.scenarios.build_scenario` and bit-identically reproducible
+from the root seed; with ``verify=True`` the bench replays one cell and
+asserts the summaries are equal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import replace
+from functools import partial
+from typing import Dict, Sequence, Tuple
 
-import numpy as np
-
-from ..serve import ServeConfig, ServeSystem, TenantSpec
-from .common import (
-    RASTER,
-    SERVE_NODES,
-    SERVE_SPEC,
-    SERVE_STRIP,
-    build_serve_platform,
-    ingest_files,
-    scaled_duration,
-    serve_platform,
-)
-from .experiments import ExperimentReport
-from .platform import ExperimentPlatform
+from ..scenarios import ScenarioSpec, TopologySpec, run_scenario
+from ..serve import TenantSpec
+from .common import scaled_duration
+from .experiment_report import ExperimentReport
+from .replays import Replays
 
 #: Schemes swept, in reporting order.
 SERVE_SCHEMES = ("TS", "NAS", "DAS")
@@ -97,60 +91,32 @@ def serve_tenants(rate: float = BASE_RATE) -> Tuple[TenantSpec, ...]:
     )
 
 
-def serve_cell(
-    scheme: str,
-    load: float,
-    duration: float = DURATION,
-    deadline: float = DEADLINE,
-    platform: Optional[ExperimentPlatform] = None,
-    batch_max: int = 1,
-    tracer=None,
-    telemetry=None,
-) -> Dict[str, object]:
-    """One serving run: fresh platform, warm ingest, full summary dict."""
-    summary, _ = serve_cell_system(
-        scheme,
-        load,
-        duration=duration,
-        deadline=deadline,
-        platform=platform,
-        batch_max=batch_max,
-        tracer=tracer,
-        telemetry=telemetry,
-    )
-    return summary
+#: The bench's base cell: 8 nodes (half storage) on the throttled
+#: serving platform, two 128x192 rasters placed the way each scheme's
+#: I/O stack would, the fixed tenant mix at load 1.0.  Chaos-, autoscale-
+#: and engine-bench vary this same value.
+SERVE_CELL = ScenarioSpec(
+    name="serve-bench",
+    description="One (scheme, load) point of the serving sweep.",
+    topology=TopologySpec(),
+    tenants=serve_tenants(),
+    duration=DURATION,
+    deadline=DEADLINE,
+)
 
 
-def serve_cell_system(
-    scheme: str,
-    load: float,
-    duration: float = DURATION,
-    deadline: float = DEADLINE,
-    platform: Optional[ExperimentPlatform] = None,
-    batch_max: int = 1,
-    tracer=None,
-    telemetry=None,
-) -> Tuple[Dict[str, object], ServeSystem]:
-    """Like :func:`serve_cell` but also returns the system (telemetry
-    replays read the sampler off it for artifact export)."""
-    platform = serve_platform(platform)
-    cluster, pfs = build_serve_platform(platform)
-    rng = np.random.default_rng(platform.seed)
-    ingest_files(pfs, scheme, rng, policy="scheme")
-    config = ServeConfig(
-        tenants=serve_tenants(),
-        scheme=scheme,
-        duration=duration,
-        deadline=deadline,
+def serve_spec(
+    scheme: str, load: float, duration: float = DURATION, **changes
+) -> ScenarioSpec:
+    """:data:`SERVE_CELL` re-aimed at one (scheme, load) point; further
+    ``changes`` are :class:`ScenarioSpec` fields (``batch_max=8``, ...)."""
+    return replace(
+        SERVE_CELL,
+        topology=replace(SERVE_CELL.topology, scheme=scheme),
         load=load,
-        concurrency=8,
-        queue_capacity=12,
-        batch_max=batch_max,
-        tracer=tracer,
-        telemetry=telemetry,
+        duration=duration,
+        **changes,
     )
-    system = ServeSystem(pfs, config)
-    return system.run(), system
 
 
 def _row(summary: Dict[str, object]) -> dict:
@@ -217,7 +183,14 @@ def serve_bench(
     both ways — for the amortisation comparison; ``batch_max=1``
     reproduces the plain three-scheme sweep.
     """
+    replays = Replays(verify, trace_dir, trace_sample, telemetry_dir)
     duration = scaled_duration(scale, DURATION, 1.5)
+
+    def cell(scheme, load, batch=1):
+        return partial(
+            run_scenario, serve_spec(scheme, load, duration, batch_max=batch), platform
+        )
+
     batching = batch_max > 1 and "DAS" in schemes
     # Cells are (scheme, load, batch_max) triples.
     cells: list = [(scheme, load, 1) for scheme in schemes for load in loads]
@@ -229,9 +202,7 @@ def serve_bench(
     rows = []
     summaries: Dict[Tuple[str, float, int], Dict[str, object]] = {}
     for scheme, load, batch in cells:
-        summary = serve_cell(
-            scheme, load, duration=duration, platform=platform, batch_max=batch
-        )
+        summary, _ = cell(scheme, load, batch)()
         summaries[(scheme, load, batch)] = summary
         rows.append(_row(summary))
 
@@ -334,68 +305,32 @@ def serve_bench(
             all(s["admitted"] == s["settled"] for s in summaries.values()),
         )
     )
-    if verify and rows:
-        scheme0, load0 = schemes[0], loads[0]
-        replay = serve_cell(scheme0, load0, duration=duration, platform=platform)
-        checks.append(
-            (
-                f"bit-identical replay: {scheme0} at load x{load0:g} reproduces"
-                " the same summary from the same seed",
-                replay == summaries[(scheme0, load0, 1)],
-            )
-        )
-
-    if trace_dir is not None and rows:
-        from .tracing import traced_replay
-
-        t_scheme = "DAS" if "DAS" in schemes else schemes[0]
-        t_load = 1.0 if 1.0 in loads else loads[0]
-        trace_checks, _ = traced_replay(
-            f"serve_{t_scheme}_x{t_load:g}",
-            lambda tracer: serve_cell(
-                t_scheme, t_load, duration=duration, platform=platform,
-                tracer=tracer,
-            ),
-            summaries[(t_scheme, t_load, 1)],
-            trace_dir,
-            meta={
-                "bench": "serve-bench",
-                "scheme": t_scheme,
-                "load": t_load,
-                "duration": duration,
-            },
-            sample=1.0 / max(1, int(trace_sample)),
-        )
-        checks += trace_checks
-
     aux_checks = []
-    if telemetry_dir is not None and rows:
-        from .telemetry import telemetry_replay
-
+    if rows:
+        scheme0, load0 = schemes[0], loads[0]
+        checks += replays.verified(
+            f"bit-identical replay: {scheme0} at load x{load0:g} reproduces"
+            " the same summary from the same seed",
+            cell(scheme0, load0),
+            summaries[(scheme0, load0, 1)],
+        )
         t_scheme = "DAS" if "DAS" in schemes else schemes[0]
         t_load = 1.0 if 1.0 in loads else loads[0]
-
-        def _telemetered(config):
-            summary, system = serve_cell_system(
-                t_scheme, t_load, duration=duration, platform=platform,
-                telemetry=config,
-            )
-            return summary, system.telemetry
-
-        telemetry_checks, _ = telemetry_replay(
+        observed = (
             f"serve_{t_scheme}_x{t_load:g}",
-            _telemetered,
+            cell(t_scheme, t_load),
             summaries[(t_scheme, t_load, 1)],
-            telemetry_dir,
-            meta={
+            {
                 "bench": "serve-bench",
                 "scheme": t_scheme,
                 "load": t_load,
                 "duration": duration,
             },
         )
-        aux_checks += telemetry_checks
+        checks += replays.traced(*observed)
+        aux_checks = replays.sampled(*observed)
 
+    topology = SERVE_CELL.topology
     return ExperimentReport(
         experiment="serve-bench",
         title="Serving layer: offered load vs latency tail, TS/NAS/DAS",
@@ -403,7 +338,8 @@ def serve_bench(
         checks=checks,
         aux_checks=aux_checks,
         notes=(
-            f"{SERVE_NODES} nodes (half storage), {RASTER[0]}x{RASTER[1]} rasters,"
+            f"{topology.nodes} nodes (half storage),"
+            f" {topology.raster[0]}x{topology.raster[1]} rasters,"
             f" 3 tenants (weights 3:2:1) offering {BASE_RATE:g} req/s at load 1.0"
             f" for {duration:g}s; deadline {DEADLINE:g}s, throttled serving platform."
             + (

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, List, Tuple
 
 from .common import BenchTiming
-from .experiments import ExperimentReport
+from .experiment_report import ExperimentReport
 
 SERVE_BENCH_FILE = "BENCH_serve.json"
 PAPER_BENCH_FILE = "BENCH_paper.json"

@@ -9,11 +9,17 @@ provides:
 * the schema (:mod:`~repro.scenarios.spec`),
 * a validating loader with precise, path-annotated error messages
   (:mod:`~repro.scenarios.loader`),
+* the platform preset and ingest placement policies every serving cell
+  is built from (:mod:`~repro.scenarios.platform`),
 * deterministic spec -> cell materialization
-  (:mod:`~repro.scenarios.materialize`),
+  (:mod:`~repro.scenarios.materialize` — :func:`build_scenario` is the
+  one place a description becomes ``(pfs, ServeConfig)``),
 * the check catalog (:mod:`~repro.scenarios.checks`), and
 * a library of named scenarios under ``library/`` — run them all with
-  ``python -m repro.harness.scenario_bench --library``.
+  ``python -m repro.harness scenario-bench``.
+
+Dependencies run one way: ``repro.harness`` builds on this package,
+never the reverse.
 """
 
 from .checks import CHECKS, CheckDef, evaluate_check, evaluate_checks, validate_check

@@ -22,6 +22,7 @@ from ..faults import FaultPlan, RecoveryPolicy
 from ..kernels import default_registry
 from ..serve import SCHEMES, AutoscalePolicy, RetryPolicy, TenantSpec
 from .checks import CHECKS, validate_check
+from .platform import INGEST_POLICIES
 from .spec import (
     AUTOSCALE_KEYS,
     CHAOS_KEYS,
@@ -37,9 +38,6 @@ from .spec import (
     ScenarioSpec,
     TopologySpec,
 )
-
-#: Ingest policies the topology section accepts (mirrors harness.common).
-INGEST_POLICIES = ("scheme", "replicated", "partition")
 
 #: Directory of the named scenario library.
 LIBRARY_DIR = Path(__file__).parent / "library"

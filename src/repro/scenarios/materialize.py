@@ -1,25 +1,32 @@
 """Deterministic spec -> cell materialization and execution.
 
 :func:`build_scenario` turns a validated :class:`ScenarioSpec` into a
-ready-to-run ``(pfs, ServeConfig)`` pair; :func:`run_scenario` runs it
-and returns the summary plus the per-request result digests the
-``crc_identity`` check compares.  Everything is derived from the spec
-(the spec carries the seed), so two loads of the same document
-materialize event-for-event identical runs.
+ready-to-run ``(pfs, ServeConfig)`` pair — the only code that does, so
+every serving cell anywhere (scenario documents, the harness benches'
+spec values, ``bench/``) goes through the same construction sequence;
+:func:`run_scenario` runs it and returns the summary plus the live
+system (per-request result digests, controller trace, sampler).
+Everything is derived from the spec (the spec carries the seed), so two
+loads of the same document materialize event-for-event identical runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..faults import FaultPlan
-from ..harness.common import SERVE_SPEC, SERVE_STRIP, ingest_files
-from ..harness.platform import ExperimentPlatform, build_platform
 from ..pfs.filesystem import ParallelFileSystem
 from ..serve import ServeConfig, ServeSystem
+from .platform import (
+    SERVE_SPEC,
+    SERVE_STRIP,
+    ExperimentPlatform,
+    build_platform,
+    ingest_files,
+)
 from .spec import ScenarioSpec
 
 
@@ -35,11 +42,17 @@ def scenario_platform(
 
 
 def build_scenario(
-    spec: ScenarioSpec, platform: Optional[ExperimentPlatform] = None
+    spec: ScenarioSpec,
+    platform: Optional[ExperimentPlatform] = None,
+    env=None,
 ) -> Tuple[ParallelFileSystem, ServeConfig]:
-    """Materialize the spec: cluster, ingested files, serve config."""
+    """Materialize the spec: cluster, ingested files, serve config.
+
+    ``env`` puts the cell on a shared :class:`~repro.sim.Environment`
+    (fleet cells live on one clock); the default is a fresh one.
+    """
     cluster, pfs = build_platform(
-        spec.topology.nodes, scenario_platform(spec, platform)
+        spec.topology.nodes, scenario_platform(spec, platform), env=env
     )
     servers = None
     if spec.topology.partition_servers is not None:
@@ -88,14 +101,21 @@ def run_scenario(
     spec: ScenarioSpec,
     platform: Optional[ExperimentPlatform] = None,
     tracer: Optional[object] = None,
-) -> Tuple[dict, Dict[int, int]]:
-    """Run one scenario -> ``(summary, per-request result digests)``."""
+    telemetry: Optional[object] = None,
+) -> Tuple[dict, ServeSystem]:
+    """Run one scenario -> ``(summary, system)``.
+
+    ``tracer`` / ``telemetry`` attach the read-only observers; the
+    per-request result digests the ``crc_identity`` check compares are
+    ``system.executor.digests``.
+    """
     pfs, config = build_scenario(spec, platform)
     if tracer is not None:
         config = dataclasses.replace(config, tracer=tracer)
+    if telemetry is not None:
+        config = dataclasses.replace(config, telemetry=telemetry)
     system = ServeSystem(pfs, config)
-    summary = system.run()
-    return summary, dict(system.executor.digests)
+    return system.run(), system
 
 
 def reference_spec(spec: ScenarioSpec) -> ScenarioSpec:

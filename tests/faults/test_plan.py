@@ -50,6 +50,17 @@ class TestParse:
         spec = "crash:s1@2;recover:s1@4;slow:s2@1x0.25;cut:c0-s3@1"
         plan = FaultPlan.parse(spec)
         assert FaultPlan.parse(plan.spec()) == plan
+        # Times that are not 6-significant-digit floats round-trip too:
+        # chaos-bench's own crash plan (0.3 * 6.0 == 1.7999999999999998)
+        # and a seeded random schedule with a non-trivial slow factor.
+        crash = FaultPlan.single_crash("s1", 0.3 * 6.0, 0.7 * 6.0)
+        assert FaultPlan.parse(crash.spec()) == crash
+        drawn = FaultPlan.random(
+            np.random.default_rng(20120910), ["s0", "s1", "s2"], 6.0, crashes=3
+        )
+        slow = FaultEvent(at=1.0 / 3.0, kind="slow", target="s2", factor=0.1 / 3.0)
+        noisy = FaultPlan.from_events(drawn.events + (slow,))
+        assert FaultPlan.parse(noisy.spec()) == noisy
 
     def test_events_sorted_by_time_then_kind(self):
         plan = FaultPlan.parse("recover:s1@4;crash:s1@2;heal:a-b@2;crash:s0@2")

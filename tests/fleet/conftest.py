@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.fleet import Cell
-from repro.harness.common import SERVE_SPEC, SERVE_STRIP, ingest_files
-from repro.harness.platform import ExperimentPlatform, build_platform
-from repro.serve import ServeConfig, ServeRequest, TenantSpec
+from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario
+from repro.serve import ServeRequest, TenantSpec
 
 TENANTS = (
     TenantSpec("alpha", rate=4.0, weight=2.0, kernels=("gaussian",), files=("dem_a",)),
@@ -24,27 +22,20 @@ def make_cell(
     concurrency=2,
     duration=2.0,
     files=("dem_a", "dem_b"),
-    faults=None,
-    recovery=None,
-    autoscale=None,
     shard_slots=True,
 ):
     """One small serving cell (4 nodes) on the shared fleet clock."""
-    platform = ExperimentPlatform(spec=SERVE_SPEC, strip_size=SERVE_STRIP)
-    _, pfs = build_platform(4, platform, env=env)
-    rng = np.random.default_rng(platform.seed)
-    ingest_files(pfs, "DAS", rng, policy="replicated", names=files)
-    config = ServeConfig(
+    spec = ScenarioSpec(
+        name=name,
+        description="fleet test cell",
+        topology=TopologySpec(nodes=4, ingest="replicated", files=files),
         tenants=tenants,
-        scheme="DAS",
         duration=duration,
         deadline=1.0,
         queue_capacity=queue_capacity,
         concurrency=concurrency,
-        faults=faults,
-        recovery=recovery,
-        autoscale=autoscale,
     )
+    pfs, config = build_scenario(spec, env=env)
     return Cell(name, pfs, config, shard_slots=shard_slots)
 
 

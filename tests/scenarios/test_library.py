@@ -52,10 +52,13 @@ def test_library_scenario_materializes(name):
 
 def test_fast_scenario_end_to_end_with_checks():
     spec = load_scenario("rolling-upgrade")
-    summary, digests = run_scenario(spec)
-    reference = run_scenario(reference_spec(spec))
+    summary, system = run_scenario(spec)
+    twin_summary, twin = run_scenario(reference_spec(spec))
     results = evaluate_checks(
-        spec.checks, summary, digests=digests, reference=reference
+        spec.checks,
+        summary,
+        digests=system.executor.digests,
+        reference=(twin_summary, twin.executor.digests),
     )
     assert results and all(ok for _, ok in results), [
         label for label, ok in results if not ok
@@ -64,9 +67,10 @@ def test_fast_scenario_end_to_end_with_checks():
 
 def test_scenario_replay_is_bit_identical():
     spec = load_scenario("region-loss")
-    first = run_scenario(spec)
-    second = run_scenario(spec)
+    first, first_system = run_scenario(spec)
+    second, second_system = run_scenario(spec)
     assert first == second
+    assert first_system.executor.digests == second_system.executor.digests
 
 
 def test_reference_spec_strips_the_disturbances_only():

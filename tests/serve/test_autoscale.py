@@ -334,7 +334,7 @@ def ramped_run(autoscale):
     """One small ramped serving run on the throttled serving platform
     (the default platform is too fast for a 4x surge to queue anything);
     returns (summary, system)."""
-    from repro.harness.serve_bench import SERVE_SPEC
+    from repro.scenarios.platform import SERVE_SPEC
 
     cluster = Cluster.build(n_compute=4, n_storage=4, spec=SERVE_SPEC)
     pfs = ParallelFileSystem(cluster, strip_size=4 * KiB)

@@ -14,8 +14,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ServeError
-from repro.harness.platform import ExperimentPlatform, build_platform, ingest_for_scheme
-from repro.harness.serve_bench import SERVE_NODES, SERVE_SPEC, SERVE_STRIP
+from repro.scenarios.platform import (
+    SERVE_SPEC,
+    SERVE_STRIP,
+    ExperimentPlatform,
+    build_platform,
+    ingest_for_scheme,
+)
 from repro.serve import (
     COMPLETED,
     EXPIRED,
@@ -203,7 +208,7 @@ class TestSchedulerBatching:
 def _das_burst(batch_max, n=6, tenants=("t",)):
     """Run an n-request same-(file, kernel) burst over the real stack."""
     platform = ExperimentPlatform(spec=SERVE_SPEC, strip_size=SERVE_STRIP)
-    cluster, pfs = build_platform(SERVE_NODES, platform)
+    cluster, pfs = build_platform(8, platform)
     rng = np.random.default_rng(platform.seed)
     ingest_for_scheme(pfs, "DAS", "dem", fractal_dem(64, 96, rng=rng), "gaussian")
     executor = LoadAwareExecutor(pfs, scheme="DAS")

@@ -13,21 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ServeError
-from repro.harness.common import build_serve_platform, ingest_files
 from repro.hw import Cluster
+from repro.scenarios import ScenarioSpec, TopologySpec, run_scenario
 from repro.serve import (
     OUTCOMES,
     ClosedLoopWorkload,
     FairScheduler,
     OpenLoopWorkload,
     RetryPolicy,
-    ServeConfig,
-    ServeSystem,
     SLOBoard,
     TenantSpec,
 )
-
-import numpy as np
 
 
 def closed_tenant(**overrides):
@@ -177,9 +173,10 @@ class TestClosedLoopBehaviour:
 @pytest.fixture(scope="module")
 def mixed_summary():
     def run():
-        cluster, pfs = build_serve_platform()
-        ingest_files(pfs, "DAS", np.random.default_rng(7))
-        config = ServeConfig(
+        spec = ScenarioSpec(
+            name="mixed",
+            description="one open-loop and one closed-loop tenant",
+            topology=TopologySpec(),
             tenants=(
                 TenantSpec("open", rate=4.0, files=("dem_a",)),
                 TenantSpec("closed", mode="closed", population=2,
@@ -187,8 +184,11 @@ def mixed_summary():
             ),
             duration=2.0,
             deadline=1.0,
+            seed=7,
+            queue_capacity=16,
+            concurrency=4,
         )
-        return ServeSystem(pfs, config).run()
+        return run_scenario(spec)[0]
 
     return run(), run()
 

@@ -9,33 +9,34 @@ configured, the subsystem is invisible.
 
 import pytest
 
-from repro.faults import FaultPlan, RecoveryPolicy
-from repro.harness.chaos_bench import chaos_cell, single_crash_plan
-from repro.harness.platform import ExperimentPlatform, build_platform
-from repro.harness.serve_bench import SERVE_NODES, SERVE_SPEC, SERVE_STRIP
+from repro.faults import RecoveryPolicy
+from repro.harness.chaos_bench import fault_spec, single_crash
+from repro.scenarios import run_scenario
 
 DURATION = 1.5
 RECOVERY = RecoveryPolicy(rpc_timeout=0.25, max_attempts=2, backoff=0.02)
 
 
+def chaos_cell(scheme, duration, **changes):
+    """One chaos-bench cell's summary, straight from its spec."""
+    return run_scenario(fault_spec(scheme, duration, **changes))[0]
+
+
 def crash_plan():
-    _, pfs = build_platform(
-        SERVE_NODES, ExperimentPlatform(spec=SERVE_SPEC, strip_size=SERVE_STRIP)
-    )
-    return single_crash_plan(pfs, DURATION)
+    return single_crash(DURATION)
 
 
 @pytest.fixture(scope="module")
 def replicated_crash():
     return chaos_cell(
-        "TS", DURATION, faults=crash_plan(), recovery=RECOVERY, replicated=True
+        "TS", DURATION, chaos=crash_plan(), recovery=RECOVERY, replicated=True
     )
 
 
 @pytest.fixture(scope="module")
 def unreplicated_crash():
     return chaos_cell(
-        "TS", DURATION, faults=crash_plan(), recovery=RECOVERY, replicated=False
+        "TS", DURATION, chaos=crash_plan(), recovery=RECOVERY, replicated=False
     )
 
 
@@ -91,7 +92,7 @@ class TestFaultFreeRuns:
 
     def test_decision_cache_cleared_on_membership_change(self):
         summary = chaos_cell(
-            "DAS", DURATION, faults=crash_plan(), recovery=RECOVERY
+            "DAS", DURATION, chaos=crash_plan(), recovery=RECOVERY
         )
         stats = summary["decision_cache"]
         # The crash and the recovery each flushed the cache, so at least

@@ -8,10 +8,16 @@ pipeline is bit-identically deterministic from the root seed.
 
 import pytest
 
-from repro.harness.serve_bench import DEADLINE, serve_bench, serve_cell
+from repro.harness.serve_bench import DEADLINE, serve_bench, serve_spec
+from repro.scenarios import run_scenario
 from repro.units import KiB
 
 FAST = dict(duration=2.0)
+
+
+def serve_cell(scheme, load, **changes):
+    """One serve-bench cell's summary, straight from its spec."""
+    return run_scenario(serve_spec(scheme, load, **changes))[0]
 
 
 @pytest.fixture(scope="module")

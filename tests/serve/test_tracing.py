@@ -7,33 +7,31 @@ The two halves of the observability bargain, end to end:
 * **Complete** — the tree it collects explains (nearly) all of every
   request's latency, exports to structurally valid Perfetto JSON, and
   survives the critical-path acceptance bounds.
-"""
 
-import json
+The traced *replay* (artifacts on disk, the four bench checks) is
+covered with its telemetry twin in ``tests/harness/test_replays.py``.
+"""
 
 import pytest
 
-from repro.harness.serve_bench import serve_cell
-from repro.harness.tracing import (
-    MAX_ATTRIBUTION_ERROR,
-    MIN_COVERAGE,
-    traced_replay,
-)
+from repro.harness.replays import MAX_ATTRIBUTION_ERROR, MIN_COVERAGE
+from repro.harness.serve_bench import serve_spec
 from repro.metrics.critical_path import critical_path
 from repro.obs import Tracer, trace_document, validate_trace
+from repro.scenarios import run_scenario
 
-DURATION = 1.5
+CELL = serve_spec("DAS", 1.0, duration=1.5)
 
 
 @pytest.fixture(scope="module")
 def untraced():
-    return serve_cell("DAS", load=1.0, duration=DURATION)
+    return run_scenario(CELL)[0]
 
 
 @pytest.fixture(scope="module")
 def traced():
     tracer = Tracer()
-    summary = serve_cell("DAS", load=1.0, duration=DURATION, tracer=tracer)
+    summary, _ = run_scenario(CELL, tracer=tracer)
     return tracer, summary
 
 
@@ -74,29 +72,3 @@ class TestCoverage:
         tracer, _ = traced
         doc = trace_document(tracer, meta={"cell": "test"})
         assert validate_trace(doc) == []
-
-
-class TestTracedReplayHelper:
-    def test_all_four_checks_pass_and_files_land(
-        self, untraced, tmp_path_factory
-    ):
-        trace_dir = tmp_path_factory.mktemp("traces")
-        checks, paths = traced_replay(
-            "cell",
-            lambda tracer: serve_cell(
-                "DAS", load=1.0, duration=DURATION, tracer=tracer
-            ),
-            untraced,
-            trace_dir,
-            meta={"cell": "test"},
-        )
-        assert len(checks) == 4
-        assert all(ok for _, ok in checks), [m for m, ok in checks if not ok]
-        trace_path = trace_dir / "cell.trace.json"
-        attribution_path = trace_dir / "cell.attribution.json"
-        assert sorted(paths) == [attribution_path, trace_path]
-        doc = json.loads(trace_path.read_text())
-        assert validate_trace(doc) == []
-        report = json.loads(attribution_path.read_text())
-        assert report["requests"] > 0
-        assert report["min_coverage"] >= MIN_COVERAGE

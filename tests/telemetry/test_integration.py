@@ -1,21 +1,24 @@
-"""Telemetry across the stack: serving runs, replay helper, artifacts.
+"""Telemetry across the stack: serving runs, replay owner, artifacts.
 
 The expensive fixtures run one short serving cell sampled and one
 unsampled (module scope, shared across tests), proving the
 non-perturbation contract on the real serving path; the rest covers
-the replay helper's artifact round-trip, the structural validator, the
+the sampled replay's alert expectations, the structural validator, the
 scenario ``alert_*`` checks, and the committed fixtures under
-``benchmarks/telemetry/``.
+``benchmarks/telemetry/``.  (The sampled replay's artifact round-trip is
+covered with its tracing twin in ``tests/harness/test_replays.py``.)
 """
 
 import importlib.util
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from repro.harness.serve_bench import serve_cell, serve_cell_system
-from repro.harness.telemetry import telemetry_replay
+from repro.harness.replays import Replays
+from repro.harness.serve_bench import serve_spec
+from repro.scenarios import run_scenario
 from repro.scenarios.checks import evaluate_check
 from repro.scenarios.spec import CheckSpec
 from repro.sim.core import events_dispatched_total, untallied
@@ -31,18 +34,17 @@ check_telemetry = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_telemetry)
 
 DURATION = 1.5
+CELL = serve_spec("DAS", 1.0, duration=DURATION)
 
 
 @pytest.fixture(scope="module")
 def unsampled():
-    return serve_cell("DAS", load=1.0, duration=DURATION)
+    return run_scenario(CELL)[0]
 
 
 @pytest.fixture(scope="module")
 def sampled():
-    summary, system = serve_cell_system(
-        "DAS", load=1.0, duration=DURATION, telemetry=TelemetryConfig()
-    )
+    summary, system = run_scenario(CELL, telemetry=TelemetryConfig())
     return summary, system.telemetry
 
 
@@ -69,36 +71,13 @@ class TestNonPerturbation:
 
 
 class TestReplayHelper:
-    def test_checks_pass_and_artifact_validates(self, unsampled, tmp_path):
-        def run_cell(config):
-            summary, system = serve_cell_system(
-                "DAS", load=1.0, duration=DURATION, telemetry=config
-            )
-            return summary, system.telemetry
-
-        checks, paths = telemetry_replay(
-            "cell", run_cell, unsampled, tmp_path, meta={"bench": "unit"}
-        )
-        assert len(checks) == 2
-        assert all(ok for _, ok in checks), [m for m, ok in checks if not ok]
-        (path,) = paths
-        assert path == tmp_path / "cell.telemetry.json"
-        problems, _, _ = check_telemetry.check_telemetry_file(path)
-        assert problems == []
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro.telemetry/1"
-        assert doc["meta"]["bench"] == "unit"
-
     def test_missing_expected_alert_fails_the_check(self, unsampled, tmp_path):
-        def run_cell(config):
-            summary, system = serve_cell_system(
-                "DAS", load=1.0, duration=DURATION, telemetry=config
-            )
-            return summary, system.telemetry
-
-        checks, _ = telemetry_replay(
-            "cell", run_cell, unsampled, tmp_path, meta={},
-            expect_fired=("availability-burn",),
+        checks = Replays(telemetry_dir=tmp_path).sampled(
+            "cell",
+            partial(run_scenario, CELL),
+            unsampled,
+            {},
+            expect_alerts=("availability-burn",),
         )
         # A healthy cell burns no budget: the expectation must fail
         # loudly, not silently pass.
@@ -108,7 +87,7 @@ class TestReplayHelper:
     def test_replay_events_stay_out_of_the_global_tally(self):
         before = events_dispatched_total()
         with untallied():
-            serve_cell("DAS", load=1.0, duration=DURATION)
+            run_scenario(CELL)
         assert events_dispatched_total() == before
 
 
