@@ -73,18 +73,13 @@ class ASServer:
         self.reductions: ReductionRegistry = default_reductions
         self.halo_granularity = halo_granularity
         self.max_inflight_runs = int(max_inflight_runs)
-        self._service = self.env.process(self._serve(), name=f"as-server:{server}")
+        self._service = self.transport.serve(self, TAG_AS, "as")
 
     @property
     def name(self) -> str:
         return self.ds.name
 
     # -- request loop ------------------------------------------------------------
-    def _serve(self):
-        while True:
-            msg = yield self.transport.recv(self.name, tag=TAG_AS)
-            self.env.process(self._handle(msg), name=f"as-handle:{self.name}")
-
     def _handle(self, msg: Message):
         if not self.node.is_up:
             # A crashed helper answers nothing; requests already in its

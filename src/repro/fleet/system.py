@@ -202,6 +202,8 @@ class FleetSystem:
         for workload in self.workloads:
             workload.start(self.router)
         self.env.run()  # to quiescence across every cell
+        for cell in self.cells:
+            cell.scheduler.close()
         elapsed = self.env.now - started
         if self.telemetry is not None:
             self.telemetry.finalize(self.env.now)

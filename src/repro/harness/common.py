@@ -54,14 +54,17 @@ def bench_timer(quiesce_gc: bool = True) -> Iterator[BenchTiming]:
     """Time a bench region; yields a :class:`BenchTiming` filled on exit.
 
     With ``quiesce_gc`` (the default) the cyclic garbage collector is
-    collected once up front and then disabled for the region: the
-    simulator churns through millions of short-lived events whose
-    refcounts already reclaim them, and letting the cycle detector walk
-    those arenas mid-run costs ~10% wall for nothing.  This is purely a
-    wall-clock lever — object lifetimes and float arithmetic are
-    untouched, so simulated results are bit-identical either way.  The
-    collector is re-enabled (and prior state restored) on exit, even on
-    error.
+    collected once up front and then disabled for the region, because
+    nothing in the region needs it: cells are acyclic at the owner
+    level (no suspended loop, timer or hook is the only thing keeping
+    its owner alive), so a finished cell's PFS, data servers and strip
+    arrays are freed by reference counting the moment the caller drops
+    it, and letting the cycle detector walk the event arenas mid-run
+    costs ~10% wall for nothing.  That rule is enforced, cell kind by
+    cell kind, by ``tests/integration/test_cell_lifetime.py``; while it
+    did not hold, this switch kept every finished cell resident until
+    exit (3.9 GB in fig12).  Simulated results are bit-identical either
+    way.  The collector is re-enabled on exit, even on error.
     """
     timing = BenchTiming()
     restore_gc = quiesce_gc and gc.isenabled()

@@ -27,6 +27,7 @@ replay) would catch.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import NetworkError, SimulationError
@@ -105,7 +106,10 @@ class FluidScheduler:
         # _on_advance just before the clock moves (or idles out)
         # whenever the armed flag is up, so a burst of same-instant
         # starts/finishes pays for one progressive-filling pass.
-        env.add_advance_hook(self._on_advance)
+        # Registered weakly: the hook list must not own the scheduler
+        # (an env <-> scheduler cycle would pin the whole event heap).
+        me = weakref.ref(self)
+        env.add_advance_hook(lambda: me() and me()._on_advance())
         # Cached fill order: links in first-seen order over the live
         # flows.  Flow *starts* append any new links at the end (the
         # order a rebuild would produce, since new flows sit at the end

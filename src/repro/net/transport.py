@@ -10,6 +10,7 @@ talks to the AS helper processes on the storage servers.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Optional
 
 from ..errors import LinkDownError, NodeDownError
@@ -90,6 +91,17 @@ class Mailbox(FilterStore):
                         get.succeed(item)
                         return get
         return None
+
+
+def _receive_loop(owner_ref, tag: str, label: str):
+    """The request loop of :meth:`Transport.serve`."""
+    while True:
+        owner = owner_ref()
+        get = owner.transport.recv(owner.name, tag=tag)
+        del owner  # a suspended loop must not own its server
+        msg = yield get
+        owner = owner_ref()
+        owner.env.process(owner._handle(msg), name=f"{label}-handle:{owner.name}")
 
 
 class Transport:
@@ -218,6 +230,30 @@ class Transport:
         """An event yielding the next mailbox message that matches
         ``tag``, ``reply_to`` and ``match`` (each optional)."""
         return self.mailbox(node).get(tag, reply_to, match)
+
+    def serve(self, owner, tag: str, label: str):
+        """Start ``owner``'s request loop: every ``tag`` message for
+        node ``owner.name`` becomes an ``owner._handle(msg)`` process.
+
+        The loop holds ``owner`` weakly: it is suspended for its whole
+        life, and owning its server would pin it, strip store and all,
+        through ``Transport -> Mailbox -> MailboxGet -> Process ->
+        generator -> server -> transport``.  When ``owner`` is freed the
+        pending receive is withdrawn and the loop closed, so it cannot
+        swallow a message meant for a successor on the node.
+        """
+        proc = self.env.process(
+            _receive_loop(weakref.ref(owner), tag, label),
+            name=f"{label}-server:{owner.name}",
+        )
+        weakref.finalize(owner, self._end_service, owner.name, proc).atexit = False
+        return proc
+
+    def _end_service(self, node: str, proc) -> None:
+        waiters = self.mailbox(node)._get_waiters
+        if proc.target in waiters:
+            waiters.remove(proc.target)
+        proc.close()
 
     # -- RPC ------------------------------------------------------------------------
     def call(

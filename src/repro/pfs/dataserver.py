@@ -105,7 +105,7 @@ class DataServer:
         self.cache = StripCache(
             node.spec.server_cache_bytes, monitors=node.monitors, owner=node.name
         )
-        self._service_proc = self.env.process(self._serve(), name=f"pfs-server:{node.name}")
+        self._service_proc = transport.serve(self, TAG_PFS, "pfs")
 
     @property
     def name(self) -> str:
@@ -229,11 +229,6 @@ class DataServer:
         return total
 
     # -- network request service ----------------------------------------------------
-    def _serve(self):
-        while True:
-            msg = yield self.transport.recv(self.name, tag=TAG_PFS)
-            self.env.process(self._handle(msg), name=f"pfs-handle:{self.name}")
-
     def _handle(self, msg: Message):
         if not self.node.is_up:
             # A crashed server cannot answer; the request that was

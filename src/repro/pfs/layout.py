@@ -167,11 +167,7 @@ class Layout(ABC):
 
     def placement_table(self, file_size: int) -> Dict[str, List[int]]:
         """``{server: [strips]}`` for every strip of a file (replicas included)."""
-        table: Dict[str, List[int]] = {s: [] for s in self.servers}
-        for strip in range(self.n_strips(file_size)):
-            for server in self.replicas(strip):
-                table[server].append(strip)
-        return table
+        return {s: self.local_strips(s, file_size) for s in self.servers}
 
     def storage_bytes(self, file_size: int) -> int:
         """Total bytes stored across all servers, replication included."""
@@ -193,7 +189,16 @@ class RoundRobinLayout(Layout):
     def server_index(self, strip: int) -> int:
         if strip < 0:
             raise LayoutError(f"negative strip index {strip!r}")
-        return strip % self.n_servers
+        return strip % len(self.servers)
+
+    def primary_strips(self, server: str, file_size: int) -> List[int]:
+        """Closed form of the inventory: ``i, i+D, i+2D, ...``."""
+        if server not in self.servers:
+            return []
+        first, step = self.servers.index(server), len(self.servers)
+        return list(range(first, self.n_strips(file_size), step))
+
+    local_strips = primary_strips  # nothing is replicated
 
 
 class GroupedLayout(Layout):
@@ -210,7 +215,17 @@ class GroupedLayout(Layout):
     def server_index(self, strip: int) -> int:
         if strip < 0:
             raise LayoutError(f"negative strip index {strip!r}")
-        return (strip // self.group) % self.n_servers
+        return (strip // self.group) % len(self.servers)
+
+    def primary_strips(self, server: str, file_size: int) -> List[int]:
+        """Closed form of the inventory: every D-th group of ``r`` strips."""
+        if server not in self.servers:
+            return []
+        n, r = self.n_strips(file_size), self.group
+        groups = range(self.servers.index(server), -(-n // r), len(self.servers))
+        return [s for g in groups for s in range(g * r, min(g * r + r, n))]
+
+    local_strips = primary_strips  # nothing is replicated
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

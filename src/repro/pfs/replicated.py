@@ -60,6 +60,21 @@ class ReplicatedGroupedLayout(GroupedLayout):
                 out.append(next_server)
         return out
 
+    def local_strips(self, server: str, file_size: int) -> List[int]:
+        """Primary strips plus the neighbour groups' replicated heads
+        (of the next group) and tails (of the previous one)."""
+        if server not in self.servers:
+            return []
+        me, d = self.servers.index(server), len(self.servers)
+        n, r, h = self.n_strips(file_size), self.group, self.halo_strips
+        held = set(self.primary_strips(server, file_size))
+        for g in range(-(-n // r)):
+            if g > 0 and (g - 1) % d == me:
+                held.update(range(g * r, min(g * r + h, n)))
+            if (g + 1) % d == me:
+                held.update(range(min(g * r + r - h, n), min(g * r + r, n)))
+        return sorted(held)
+
     def capacity_overhead(self) -> float:
         """Fractional extra storage vs. an unreplicated layout (≈ 2h/r)."""
         return 2.0 * self.halo_strips / self.group

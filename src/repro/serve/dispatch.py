@@ -96,10 +96,11 @@ class LoadAwareExecutor:
             self._nas.client.recovery = recovery
         elif scheme == "DAS":
             engine = DecisionEngine()
+            env = self.env  # the clock hook must not own the executor
             self.cache = decision_cache or DecisionCache(
                 engine,
                 ttl=decision_ttl,
-                clock=(lambda: self.env.now) if decision_ttl is not None else None,
+                clock=(lambda: env.now) if decision_ttl is not None else None,
             )
             self.client = ActiveStorageClient(
                 pfs, home=self._home(), engine=engine, registry=self.registry

@@ -125,6 +125,12 @@ class FairScheduler:
         #: req_id -> open "queued" span (tracing only; empty otherwise).
         self._queue_spans: Dict[int, object] = {}
 
+    def close(self) -> None:
+        """End the dispatcher once the run has drained: asleep on
+        ``self._kick`` it would own the scheduler (and the executor and
+        PFS behind it) in a cycle reference counting never frees."""
+        self._dispatcher.close()
+
     # -- admission ------------------------------------------------------------
     def submit(self, req: ServeRequest) -> bool:
         """Admit ``req`` into its tenant queue, or shed it.

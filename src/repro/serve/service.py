@@ -214,6 +214,7 @@ class ServeSystem:
         for workload in self.workloads:
             workload.start(self.scheduler)
         self.cluster.run()  # to quiescence: all arrivals offered + settled
+        self.scheduler.close()
         elapsed = env.now - started
         if self.telemetry is not None:
             # Flush the boundaries between the last event and the end of

@@ -108,11 +108,10 @@ class Process(Event):
         self._ok = None
         self._defused = False
         self._generator = generator
-        self._target: Optional[Event] = None
         self._name = name
         self._send = generator.send
         self._throw = generator.throw
-        Initialize(env, self)
+        self._target = Initialize(env, self)
 
     @property
     def name(self) -> str:
@@ -159,6 +158,36 @@ class Process(Event):
         # URGENT priority: packed key is the bare eid.
         heappush(env._queue, (env._now, env._eid, interrupt_ev))
 
+    def close(self) -> None:
+        """End a suspended process without running the engine.
+
+        Its ``_resume`` leaves the awaited event's callbacks (other
+        waiters still see the event fire) and ``GeneratorExit`` unwinds
+        the generator, so ``finally`` and ``with resource.request()``
+        exits run exactly once.  Nothing is scheduled or dispatched: the
+        process reads as finished with value ``None`` and whatever waits
+        *on it* is abandoned.  Run-scoped owners end their daemon loops
+        this way (docs/ARCHITECTURE.md, "Ownership and lifetime").  A
+        no-op on a finished or already closed process.
+        """
+        if self._value is not PENDING:
+            return
+        if self.env._active_proc is self:
+            raise SimulationError("a process cannot close itself")
+        self._unsubscribe()
+        self._ok = True
+        self._value = None
+        self.callbacks = None
+        self._generator.close()
+
+    def _unsubscribe(self) -> None:
+        """Stop waiting on the current target; it may still fire later
+        (for other waiters), but no longer resumes this process."""
+        target, self._target = self._target, None
+        cbs = target.callbacks if target is not None else None
+        if cbs and self._resume in cbs:  # absent once cancelled
+            cbs.remove(self._resume)
+
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or exception) of ``event``."""
         env = self.env
@@ -166,26 +195,30 @@ class Process(Event):
 
         # Drop the stale target: if we are resumed by an interrupt while
         # still subscribed to another event, unsubscribe from it.
-        target = self._target
-        if target is not None and target is not event:
-            cbs = target.callbacks
-            if cbs is not None:
-                try:
-                    cbs.remove(self._resume)
-                except ValueError:
-                    pass
+        if self._target is not event:
+            self._unsubscribe()
         self._target = None
 
         send = self._send
         throw = self._throw
+        held = None  # traceback of the failure being delivered, if any
         while True:
             try:
                 if event._ok:
                     next_event = send(event._value)
                 else:
-                    # The event failed: throw into the process.
+                    # The event failed: throw into the process.  The
+                    # exception stays stored on the event, so the frames
+                    # this delivery adds to its traceback come off again
+                    # (a handler's frame holds the failed event: a cycle
+                    # through the traceback that pins the handler's owner).
                     event._defused = True
-                    next_event = throw(event._value)
+                    failure = event._value
+                    held = failure.__traceback__
+                    try:
+                        next_event = throw(failure)
+                    finally:
+                        failure.__traceback__ = held
             except StopIteration as stop:
                 # Process finished normally.
                 self._ok = True
@@ -195,6 +228,11 @@ class Process(Event):
                 break
             except BaseException as exc:
                 # Process died with an exception -> fail the process event.
+                if exc.__traceback__ is not held:
+                    # Raised here rather than passed through: drop this
+                    # frame from the stored traceback, or it would pin
+                    # (via f_back) run() and every caller above it.
+                    exc.__traceback__ = exc.__traceback__.tb_next
                 self._ok = False
                 self._value = exc
                 env._eid += 1

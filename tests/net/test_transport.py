@@ -140,3 +140,60 @@ def test_concurrent_sends_share_tx_bandwidth(cl, drive):
     # Both leave c0.tx: 1 GiB total at 1 GiB/s ~= 1 s (plus latency).
     t = drive(cl, cl.env.process(main()))
     assert t == pytest.approx(1.0, rel=1e-3)
+
+
+class _Helper:
+    """The shape ``Transport.serve`` expects of a storage-side service."""
+
+    def __init__(self, cluster, name, log):
+        self.env = cluster.env
+        self.transport = cluster.transport
+        self.name = name
+        self.log = log
+        self.loop = cluster.transport.serve(self, "svc", "test")
+
+    def _handle(self, msg):
+        self.log.append((id(self), msg.payload))
+        yield self.env.timeout(0)
+
+
+class TestServe:
+    """The request loop serves its owner without owning it."""
+
+    def test_loop_serves_messages_and_dies_with_its_owner(self, cl):
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()  # reference counting alone must do it
+        try:
+            log = []
+            helper = _Helper(cl, "s0", log)
+            cl.transport.send("c0", "s0", 64, "first", tag="svc")
+            cl.run()
+            assert log == [(id(helper), "first")]
+            ref, loop = weakref.ref(helper), helper.loop
+            assert loop.is_alive and len(cl.transport.mailbox("s0")._get_waiters) == 1
+            del helper
+            assert ref() is None
+            assert not loop.is_alive
+            assert cl.transport.mailbox("s0")._get_waiters == []
+        finally:
+            gc.enable()
+
+    def test_a_freed_owners_loop_cannot_swallow_its_successors_messages(self, cl):
+        log = []
+        first = _Helper(cl, "s0", log)
+        cl.run()
+        del first
+        second = _Helper(cl, "s0", log)
+        cl.transport.send("c0", "s0", 64, "for the successor", tag="svc")
+        cl.run()
+        assert log == [(id(second), "for the successor")]
+
+    def test_owner_freed_before_the_loop_ever_ran(self, cl):
+        events = cl.env.dispatched
+        _Helper(cl, "s0", [])  # dropped at once; the loop never starts
+        cl.run()
+        assert cl.env.dispatched == events + 1  # the inert start-up event
+        assert cl.transport.mailbox("s0")._get_waiters == []

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pfs import GroupedLayout, ReplicatedGroupedLayout, RoundRobinLayout
+from repro.pfs.layout import Layout
 
 servers_st = st.integers(min_value=1, max_value=9).map(
     lambda n: [f"s{i}" for i in range(n)]
@@ -75,6 +76,30 @@ def test_placement_table_covers_file(layout, file_size):
         if layout.primary_server(s) == server
     }
     assert primaries == set(range(n))
+
+
+@given(layout=layouts(), file_size=st.integers(0, 200_000))
+@settings(max_examples=200)
+def test_closed_form_inventories_match_the_definition(layout, file_size):
+    """The concrete layouts compute their inventories arithmetically;
+    :class:`Layout`'s own methods are the per-strip definition.  Same
+    values, same order — for servers outside the layout too."""
+    table = {s: [] for s in layout.servers}
+    for strip in range(layout.n_strips(file_size)):
+        for server in layout.replicas(strip):
+            table[server].append(strip)
+    assert layout.placement_table(file_size) == table
+    for server in layout.servers + ["elsewhere"]:
+        assert layout.primary_strips(server, file_size) == Layout.primary_strips(
+            layout, server, file_size
+        )
+        assert layout.local_strips(server, file_size) == Layout.local_strips(
+            layout, server, file_size
+        )
+        runs = layout.primary_runs(server, file_size)
+        strips = [s for first, last in runs for s in range(first, last + 1)]
+        assert strips == Layout.primary_strips(layout, server, file_size)
+        assert all(a[1] + 1 < b[0] for a, b in zip(runs, runs[1:]))  # maximal
 
 
 @given(layout=layouts(), file_size=st.integers(1, 500_000))

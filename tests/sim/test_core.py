@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InterruptError, SimulationError
-from repro.sim import Environment
+from repro.sim import Environment, Resource
 
 
 def test_run_until_number_advances_clock(env):
@@ -169,6 +169,120 @@ class TestInterrupts:
         env.process(killer())
         with pytest.raises(InterruptError):
             env.run(until=p)
+
+
+class TestClose:
+    """``Process.close()``: how a run-scoped owner ends a daemon loop."""
+
+    def test_close_unsubscribes_but_the_event_still_fires_for_others(self, env):
+        gate = env.event()
+        woken = []
+
+        def waiter(tag):
+            yield gate
+            woken.append(tag)
+
+        doomed = env.process(waiter("doomed"))
+        env.process(waiter("kept"))
+        env.run()  # both now wait on the gate
+        assert len(gate.callbacks) == 2
+        doomed.close()
+        assert gate.callbacks is not None and len(gate.callbacks) == 1
+        assert not doomed.is_alive and doomed.target is None
+        gate.succeed()
+        env.run()
+        assert woken == ["kept"]
+
+    def test_close_runs_finally_and_resource_exits_exactly_once(self, env):
+        res = Resource(env, capacity=1)
+        log = []
+
+        def holder():
+            with res.request() as req:
+                yield req
+                try:
+                    yield env.event()  # never fires
+                finally:
+                    log.append("finally")
+
+        proc = env.process(holder())
+        env.run()
+        assert res.count == 1
+        proc.close()
+        assert log == ["finally"]
+        assert res.count == 0  # the `with` block released its slot
+        proc.close()
+        assert log == ["finally"]
+
+    def test_close_schedules_and_dispatches_nothing(self, env):
+        def sleeper():
+            yield env.event()
+
+        proc = env.process(sleeper())
+        env.run()
+        dispatched, queued = env.dispatched, list(env._queue)
+        proc.close()
+        assert env.dispatched == dispatched
+        assert env._queue == queued == []  # no completion event
+        env.run()
+        assert env.dispatched == dispatched
+
+    def test_close_before_the_first_resume(self, env):
+        started = []
+
+        def never():
+            started.append(True)
+            yield env.timeout(1)
+
+        proc = env.process(never())
+        proc.close()
+        env.run()  # the start-up event pops as a no-op
+        assert started == [] and not proc.is_alive
+
+    def test_close_is_a_no_op_on_a_finished_process(self, env):
+        def quick():
+            yield env.timeout(1)
+            return 7
+
+        proc = env.process(quick())
+        assert env.run(until=proc) == 7
+        proc.close()
+        assert proc.value == 7
+
+    def test_a_process_cannot_close_itself(self, env):
+        def selfish():
+            yield env.timeout(1)
+            env.active_process.close()
+
+        proc = env.process(selfish())
+        with pytest.raises(SimulationError, match="cannot close itself"):
+            env.run(until=proc)
+
+
+class TestStoredFailures:
+    """A failed process's exception is stored on the process event; its
+    traceback must not own the engine's stack or a handler's frame."""
+
+    def test_handled_failure_keeps_only_the_failing_process_frames(self, env):
+        def child():
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        def parent():
+            job = env.process(child())
+            try:
+                yield job
+            except ValueError:
+                pass
+            return job
+
+        job = env.run(until=env.process(parent()))
+        names = []
+        tb = job.value.__traceback__
+        while tb is not None:
+            names.append(tb.tb_frame.f_code.co_name)
+            tb = tb.tb_next
+        assert names == ["child"]  # not _resume / run, not parent
 
 
 def test_is_alive_lifecycle(env):

@@ -84,6 +84,40 @@ def test_replay_dispatches_identical_sequence(delays):
     assert first == second
 
 
+@given(
+    delays=st.lists(st.sampled_from([0.0, 0.5, 0.5, 1.0]), min_size=2, max_size=20),
+    doomed=st.integers(min_value=0, max_value=19),
+    when=st.sampled_from([0.0, 0.25, 0.75]),
+)
+@settings(max_examples=100, deadline=None)
+def test_close_never_reorders_the_remaining_heap(delays, doomed, when):
+    """``Process.close()`` pushes and pops nothing: everyone else's
+    wake-ups keep their order, whenever the close lands."""
+    doomed %= len(delays)
+
+    def run_once(close):
+        env = Environment()
+        log = []
+
+        def worker(i, d):
+            yield env.timeout(d)
+            log.append((i, env.now))
+            yield env.timeout(d)
+            log.append((i, env.now))
+
+        procs = [env.process(worker(i, d)) for i, d in enumerate(delays)]
+        if when:
+            env.run(until=when)
+        if close:
+            heap = [entry for entry in env._queue]
+            procs[doomed].close()
+            assert env._queue == heap
+        env.run()
+        return [entry for entry in log if entry[0] != doomed]
+
+    assert run_once(close=True) == run_once(close=False)
+
+
 def test_urgent_processes_before_normal_at_equal_time():
     env = Environment()
     log = []
