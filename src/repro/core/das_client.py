@@ -27,7 +27,7 @@ from ..kernels.reductions import default_reductions
 from ..net.message import FaultNotice
 from ..obs.span import NULL_SPAN, rpc_reply_bytes, rpc_status
 from ..pfs.filesystem import ParallelFileSystem
-from ..sim import contain_failures
+from ..sim import contain_failures, outcome_of
 from .as_server import ASServer
 from .decision import DecisionEngine, OffloadDecision
 from .features import KernelFeatures
@@ -288,15 +288,6 @@ class ActiveStorageClient:
             name=f"as-ft:{self.home}->{server}",
         )
 
-    def _guard(self, event):
-        """Subprocess turning an event's outcome into a value so it can
-        be raced inside ``any_of`` without an unpicked failure escaping."""
-        try:
-            value = yield event
-        except Exception as exc:  # noqa: BLE001 - outcome becomes data
-            return ("err", exc)
-        return ("ok", value)
-
     def _ft_call(self, server: str, payload, wire: float, span=NULL_SPAN):
         """Exec/reduce RPC with detection: per-attempt timeout and
         exponential backoff.  There is no replica to fail over to — an
@@ -310,7 +301,7 @@ class ActiveStorageClient:
         while True:
             call = self.transport.call(self.home, server, payload, wire, tag=TAG_AS)
             guard = self.env.process(
-                self._guard(call), name=f"as-ft-guard:{self.home}->{server}"
+                outcome_of(call), name=f"as-ft-guard:{self.home}->{server}"
             )
             deadline = self.env.timeout(timeout)
             yield self.env.any_of([guard, deadline])

@@ -27,7 +27,7 @@ from .stencil import (
     Window,
     assemble_rows,
     extract_core,
-    neighbor_views,
+    flat_views,
     pad_rows,
     window_bounds,
 )
@@ -57,7 +57,7 @@ __all__ = [
     "default_reductions",
     "default_registry",
     "extract_core",
-    "neighbor_views",
+    "flat_views",
     "pad_rows",
     "window_bounds",
 ]

@@ -23,7 +23,15 @@ import numpy as np
 
 from ..errors import KernelError, UnknownKernelError
 from .pattern import DependencePattern
-from .stencil import Window, assemble_rows, extract_core, window_bounds
+from .stencil import (
+    Scratch,
+    Window,
+    assemble_rows,
+    band_rows,
+    extract_core,
+    pad_rows,
+    window_bounds,
+)
 
 
 class Kernel(ABC):
@@ -36,9 +44,13 @@ class Kernel(ABC):
     #: Application domain, for Table I ("GIS", "Medical Image Processing", ...).
     domain: str = ""
 
-    @abstractmethod
+    #: The operator's dependence pattern (symbolic in imgWidth); immutable,
+    #: built once per class.
+    dependence: DependencePattern
+
     def pattern(self) -> DependencePattern:
-        """The operator's dependence pattern (symbolic in imgWidth)."""
+        """The operator's Kernel Features record, as a pattern."""
+        return self.dependence
 
     @abstractmethod
     def apply_window(self, window: Window) -> np.ndarray:
@@ -49,12 +61,6 @@ class Kernel(ABC):
         the dependence pattern declares."""
 
     # -- derived helpers -------------------------------------------------------
-    def reach_before(self, width: int) -> int:
-        return self.pattern().reach_before(width)
-
-    def reach_after(self, width: int) -> int:
-        return self.pattern().reach_after(width)
-
     def apply_range(
         self,
         full: np.ndarray,
@@ -69,8 +75,9 @@ class Kernel(ABC):
             if full.ndim != 2:
                 raise KernelError("width is required for non-2-D input")
             width = full.shape[1]
+        deps = self.dependence
         lo, hi = window_bounds(
-            first, count, self.reach_before(width), self.reach_after(width), flat.size
+            first, count, deps.reach_before(width), deps.reach_after(width), flat.size
         )
         window = Window(
             data=flat[lo:hi],
@@ -91,7 +98,7 @@ class Kernel(ABC):
 
     def features_record(self) -> str:
         """The operator's Kernel Features record (paper text format)."""
-        return self.pattern().to_text()
+        return self.dependence.to_text()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Kernel {self.name!r}>"
@@ -100,34 +107,53 @@ class Kernel(ABC):
 class RowBlockKernel(Kernel):
     """Base for kernels computed on 2-D row blocks with an edge ring.
 
-    Subclasses implement :meth:`apply_rows` over a row block (NaN
-    outside the window, never read for core outputs per the argument in
-    :mod:`repro.kernels.stencil`); this base lifts flat windows into
-    blocks and slices the core back out.
+    Subclasses implement :meth:`stencil` over one padded band; this base
+    walks a row block in bands (:meth:`apply_rows`), lifts flat windows
+    into blocks (NaN outside the window, never read for core outputs per
+    the argument in :mod:`repro.kernels.stencil`) and slices the core
+    back out.
     """
 
+    #: What the one-cell ring holds beyond the block's border
+    #: (:func:`~repro.kernels.stencil.pad_rows`).
+    fill: str | float = "edge"
+
     @abstractmethod
+    def stencil(self, p: np.ndarray, out: np.ndarray, scratch: Scratch) -> None:
+        """Fill ``out`` (``(n, cols)``) from the padded band ``p``
+        (``(n + 2, cols + 2)``); work arrays come from ``scratch``."""
+
     def apply_rows(self, block: np.ndarray) -> np.ndarray:
-        """Whole-block computation; same shape in and out."""
+        """Whole-block computation; same shape in and out.
+
+        The block is walked in bands of :func:`band_rows` rows.  Each
+        band's ring rows are its real neighbour rows, so only the block's
+        own border meets the edge rule and the result is bit for bit the
+        single-band one; a block no taller than a band (every strip-sized
+        server window) is one band.
+        """
+        rows, cols = block.shape
+        out = np.empty((rows, cols), dtype=np.float64)
+        band = band_rows(cols)
+        scratch = Scratch()
+        with np.errstate(invalid="ignore"):
+            for r in range(0, rows, band):
+                n = min(band, rows - r)
+                p = scratch.array("pad", n + 2, cols + 2)
+                pad_rows(block, self.fill, r, n, out=p)
+                self.stencil(p, out[r : r + n], scratch)
+        return out
 
     def apply_window(self, window: Window) -> np.ndarray:
         block, r0 = assemble_rows(window)
-        with np.errstate(invalid="ignore"):
-            rows_out = self.apply_rows(block)
-        if rows_out.shape != block.shape:
-            raise KernelError(
-                f"{self.name}: apply_rows changed shape"
-                f" {block.shape} -> {rows_out.shape}"
-            )
-        return extract_core(rows_out, r0, window)
+        return extract_core(self.apply_rows(block), r0, window)
 
     def reference(self, full: np.ndarray) -> np.ndarray:
         """Whole raster: the block *is* the raster, so skip the flat
         window round trip (two full-size copies) and apply directly."""
         if full.ndim != 2:
             raise KernelError("reference expects a 2-D raster")
-        with np.errstate(invalid="ignore"):
-            return self.apply_rows(np.ascontiguousarray(full, dtype=np.float64))
+        return self.apply_rows(np.ascontiguousarray(full, dtype=np.float64))
 
 
 class KernelRegistry:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .base import RowBlockKernel, default_registry
 from .pattern import DependencePattern
-from .stencil import D8_OFFSETS, neighbor_views, pad_rows
+from .stencil import D8_OFFSETS, Scratch, flat_views
 
 
 class FlowAccumulationKernel(RowBlockKernel):
@@ -35,22 +35,23 @@ class FlowAccumulationKernel(RowBlockKernel):
         " flowing into each downslope cell in the output raster."
     )
     domain = "GIS / Terrain Analysis"
+    dependence = DependencePattern.eight_neighbor(name)
+    fill = 0.0  # outside cells contribute nothing
 
-    def pattern(self) -> DependencePattern:
-        return DependencePattern.eight_neighbor(self.name)
-
-    def apply_rows(self, block: np.ndarray) -> np.ndarray:
+    def stencil(self, p: np.ndarray, out: np.ndarray, scratch: Scratch) -> None:
         # A neighbour in slot k sits at offset (dr, dc) from the centre;
         # it flows INTO the centre iff its direction code points back at
         # (-dr, -dc).  D8_OFFSETS is antisymmetric around its middle, so
-        # the opposite of slot k is slot 7-k, i.e. code 8-k.
-        padded = pad_rows(block, fill=0.0)  # outside cells contribute nothing
-        out = np.ones_like(block)
-        points_here = np.empty(block.shape, dtype=np.bool_)
-        for k, view in enumerate(neighbor_views(padded)):
+        # the opposite of slot k is slot 7-k, i.e. code 8-k.  The count
+        # (own unit weight + at most 8 inflows) is exact in a byte.
+        views = flat_views(p)
+        count, cells = scratch.band("count", *out.shape, np.uint8)
+        points_here = scratch.flat("points_here", count.size, np.bool_)
+        count.fill(1)
+        for k, view in enumerate(views[:4] + views[5:]):
             np.equal(view, float(8 - k), out=points_here)
-            out += points_here
-        return out
+            np.add(count, points_here, out=count)
+        out[...] = cells
 
 
 def accumulate_full(directions: np.ndarray, max_iters: int | None = None) -> np.ndarray:

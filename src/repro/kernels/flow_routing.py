@@ -17,7 +17,7 @@ import numpy as np
 
 from .base import RowBlockKernel, default_registry
 from .pattern import DependencePattern
-from .stencil import neighbor_views, pad_rows
+from .stencil import Scratch, flat_views
 
 
 class FlowRoutingKernel(RowBlockKernel):
@@ -30,29 +30,30 @@ class FlowRoutingKernel(RowBlockKernel):
         " number of downslope cells to which flow could be directed"
     )
     domain = "GIS / Terrain Analysis"
+    dependence = DependencePattern.eight_neighbor(name)
+    fill = np.inf  # an out-of-map neighbour is never the minimum
 
-    def pattern(self) -> DependencePattern:
-        return DependencePattern.eight_neighbor(self.name)
-
-    def apply_rows(self, block: np.ndarray) -> np.ndarray:
-        views = neighbor_views(pad_rows(block, fill=np.inf))
-        lowest = np.minimum(views[0], views[1])
+    def stencil(self, p: np.ndarray, out: np.ndarray, scratch: Scratch) -> None:
+        views = flat_views(p)
+        block, views = views[4], views[:4] + views[5:]
+        score, cells = scratch.band("score", *out.shape, np.uint8)
+        lowest = np.minimum(views[0], views[1], out=scratch.flat("lowest", score.size))
         for view in views[2:]:
             np.minimum(lowest, view, out=lowest)
         # argmin's first-minimum tie-break without a stack: slot k scores
         # 8-k where it equals the minimum, so the running maximum keeps
         # the lowest such k.  A NaN minimum equals nothing (score 0), and
         # like argmin's NaN pick it is masked by ``lowest < block`` below.
-        score = np.zeros(block.shape, dtype=np.uint8)
-        hit = np.empty(block.shape, dtype=np.uint8)
-        equal = np.empty(block.shape, dtype=np.bool_)
+        score.fill(0)
+        hit = scratch.flat("hit", score.size, np.uint8)
+        equal = scratch.flat("equal", score.size, np.bool_)
         for k, view in enumerate(views):
             np.equal(view, lowest, out=equal)
             np.multiply(equal, np.uint8(8 - k), out=hit)
             np.maximum(score, hit, out=score)
         np.subtract(9, score, out=score)  # score 8-k -> direction code k+1
         np.multiply(score, np.less(lowest, block, out=equal), out=score)
-        return score.astype(np.float64)
+        out[...] = cells
 
 
 default_registry.register(FlowRoutingKernel())

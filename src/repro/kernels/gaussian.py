@@ -18,7 +18,7 @@ import numpy as np
 
 from .base import RowBlockKernel, default_registry
 from .pattern import DependencePattern
-from .stencil import pad_rows
+from .stencil import Scratch, flat_views
 
 
 class GaussianFilterKernel(RowBlockKernel):
@@ -30,25 +30,31 @@ class GaussianFilterKernel(RowBlockKernel):
         " raw data as input and output the same size smoothed data"
     )
     domain = "Medical Image Processing"
+    dependence = DependencePattern.eight_neighbor(name)
 
     #: Filter taps, row-major.
     WEIGHTS = np.array(
         [[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]
     ) / 16.0
 
-    def pattern(self) -> DependencePattern:
-        return DependencePattern.eight_neighbor(self.name)
-
-    def apply_rows(self, block: np.ndarray) -> np.ndarray:
-        p = pad_rows(block, fill="edge")
-        rows, cols = block.shape
-        out = np.zeros_like(block)
-        tap = np.empty_like(block)  # one scratch for all nine products
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                view = p[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
-                out += np.multiply(view, self.WEIGHTS[dr + 1, dc + 1], out=tap)
-        return out
+    def stencil(self, p: np.ndarray, out: np.ndarray, scratch: Scratch) -> None:
+        # The nine taps carry three distinct weights, so three scalings of
+        # the band give every product; the sum then runs in the row-major
+        # tap order from 0 + t0, the same products and the same sequence
+        # of additions as one multiply-add per tap — signed zeros,
+        # subnormals and overflow included.
+        n, cols = out.shape
+        w = self.WEIGHTS
+        corner = np.multiply(p, w[0, 0], out=scratch.array("corner", *p.shape))
+        edge = np.multiply(p, w[0, 1], out=scratch.array("edge", *p.shape))
+        c, e = flat_views(corner), flat_views(edge)
+        acc, cells = scratch.band("acc", n, cols)
+        centre = scratch.flat("centre", acc.size)
+        np.multiply(flat_views(p)[4], w[1, 1], out=centre)
+        np.add(c[0], 0.0, out=acc)
+        for tap in (e[1], c[2], e[3], centre, e[5], c[6], e[7]):
+            acc += tap
+        np.add(cells, corner[2:, 2:], out=out)
 
 
 default_registry.register(GaussianFilterKernel())

@@ -20,7 +20,7 @@ import numpy as np
 
 from .base import RowBlockKernel, default_registry
 from .pattern import DependencePattern
-from .stencil import pad_rows
+from .stencil import Scratch
 
 
 class LaplaceKernel(RowBlockKernel):
@@ -32,18 +32,18 @@ class LaplaceKernel(RowBlockKernel):
         " explicit diffusion steps in image processing and terrain analysis"
     )
     domain = "Signal / Image Processing"
+    dependence = DependencePattern.four_neighbor(name)
 
-    def pattern(self) -> DependencePattern:
-        return DependencePattern.four_neighbor(self.name)
-
-    def apply_rows(self, block: np.ndarray) -> np.ndarray:
-        p = pad_rows(block, fill="edge")
-        rows, cols = block.shape
+    def stencil(self, p: np.ndarray, out: np.ndarray, scratch: Scratch) -> None:
+        rows, cols = out.shape
         n = p[0:rows, 1 : 1 + cols]
         s = p[2 : 2 + rows, 1 : 1 + cols]
         w = p[1 : 1 + rows, 0:cols]
         e = p[1 : 1 + rows, 2 : 2 + cols]
-        return n + s + w + e - 4.0 * block
+        np.add(n, s, out=out)
+        out += w
+        out += e
+        out -= 4.0 * p[1:-1, 1:-1]
 
 
 default_registry.register(LaplaceKernel())

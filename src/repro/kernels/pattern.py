@@ -133,30 +133,26 @@ class DependencePattern:
         return cls(name, [])
 
     # -- resolution ----------------------------------------------------------------
-    def offsets(self, width: int) -> np.ndarray:
-        """Concrete element offsets for a raster of ``width`` columns."""
+    def _resolved(self, width: int) -> List[int]:
         if width <= 0 and any(t.width_coef for t in self.terms):
             raise PatternParseError(
                 f"pattern {self.name!r} is width-dependent but width={width!r}"
             )
-        return np.array(
-            sorted(t.resolve(width) for t in self.terms), dtype=np.int64
-        )
+        return [t.resolve(width) for t in self.terms]
+
+    def offsets(self, width: int) -> np.ndarray:
+        """Concrete element offsets for a raster of ``width`` columns."""
+        return np.array(sorted(self._resolved(width)), dtype=np.int64)
 
     def reach(self, width: int) -> int:
         """Maximum absolute offset — how far dependent data can be."""
-        offs = self.offsets(width)
-        return int(np.abs(offs).max()) if offs.size else 0
+        return max(map(abs, self._resolved(width)), default=0)
 
     def reach_before(self, width: int) -> int:
-        offs = self.offsets(width)
-        neg = offs[offs < 0]
-        return int(-neg.min()) if neg.size else 0
+        return max(0, -min(self._resolved(width), default=0))
 
     def reach_after(self, width: int) -> int:
-        offs = self.offsets(width)
-        pos = offs[offs > 0]
-        return int(pos.max()) if pos.size else 0
+        return max(0, max(self._resolved(width), default=0))
 
     @property
     def is_independent(self) -> bool:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .base import RowBlockKernel, default_registry
 from .pattern import DependencePattern
-from .stencil import neighbor_views, pad_rows
+from .stencil import Scratch, flat_views
 
 
 class ReliefKernel(RowBlockKernel):
@@ -25,18 +25,18 @@ class ReliefKernel(RowBlockKernel):
         " each cell's 3x3 neighbourhood, used in DEM quality assessment"
     )
     domain = "GIS / Terrain Analysis"
+    dependence = DependencePattern.eight_neighbor(name)
 
-    def pattern(self) -> DependencePattern:
-        return DependencePattern.eight_neighbor(self.name)
-
-    def apply_rows(self, block: np.ndarray) -> np.ndarray:
-        views = neighbor_views(pad_rows(block, fill="edge"))
-        hi = np.maximum(views[0], views[1])
-        lo = np.minimum(views[0], views[1])
-        for view in views[2:] + (block,):
+    def stencil(self, p: np.ndarray, out: np.ndarray, scratch: Scratch) -> None:
+        views = flat_views(p)
+        hi, hi_cells = scratch.band("hi", *out.shape)
+        lo, lo_cells = scratch.band("lo", *out.shape)
+        np.maximum(views[0], views[1], out=hi)
+        np.minimum(views[0], views[1], out=lo)
+        for view in views[2:]:
             np.maximum(hi, view, out=hi)
             np.minimum(lo, view, out=lo)
-        return np.subtract(hi, lo, out=hi)
+        np.subtract(hi_cells, lo_cells, out=out)
 
 
 default_registry.register(ReliefKernel())

@@ -13,7 +13,7 @@ import numpy as np
 
 from .base import RowBlockKernel, default_registry
 from .pattern import DependencePattern
-from .stencil import pad_rows
+from .stencil import Scratch
 
 
 class SlopeKernel(RowBlockKernel):
@@ -25,13 +25,10 @@ class SlopeKernel(RowBlockKernel):
         " from Horn's gradient over the 3x3 neighbourhood"
     )
     domain = "GIS / Terrain Analysis"
+    dependence = DependencePattern.eight_neighbor(name)
 
-    def pattern(self) -> DependencePattern:
-        return DependencePattern.eight_neighbor(self.name)
-
-    def apply_rows(self, block: np.ndarray) -> np.ndarray:
-        p = pad_rows(block, fill="edge")
-        rows, cols = block.shape
+    def stencil(self, p: np.ndarray, out: np.ndarray, scratch: Scratch) -> None:
+        rows, cols = out.shape
 
         def view(dr: int, dc: int) -> np.ndarray:
             return p[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
@@ -41,7 +38,7 @@ class SlopeKernel(RowBlockKernel):
         sw, s, se = view(1, -1), view(1, 0), view(1, 1)
         gx = ((ne + 2.0 * e + se) - (nw + 2.0 * w + sw)) / 8.0
         gy = ((sw + 2.0 * s + se) - (nw + 2.0 * n + ne)) / 8.0
-        return np.sqrt(gx * gx + gy * gy)
+        np.sqrt(gx * gx + gy * gy, out=out)
 
 
 default_registry.register(SlopeKernel())

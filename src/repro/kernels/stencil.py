@@ -20,7 +20,7 @@ neighbours are never selected).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -75,38 +75,80 @@ def assemble_rows(window: Window) -> Tuple[np.ndarray, int]:
     return block.reshape(rows, width), r0
 
 
-def pad_rows(block: np.ndarray, fill: str | float = "edge") -> np.ndarray:
-    """Surround a row block with a one-cell ring.
+#: Element budget of one band of :meth:`RowBlockKernel.apply_rows`.  A
+#: constant, not an option: results do not depend on it, and 32 k float64
+#: elements keep a band and its scratch in cache on any host this runs on.
+BAND_ELEMENTS = 32768
 
-    ``fill='edge'`` replicates the border (matching
-    ``scipy.ndimage mode='nearest'``); a float pads with that constant
-    (flow routing uses ``+inf`` so padding is never the minimum).
+
+def band_rows(cols: int) -> int:
+    """Rows per band for a raster ``cols`` wide."""
+    return max(8, BAND_ELEMENTS // cols)
+
+
+class Scratch:
+    """Work arrays one ``apply_rows`` call reuses across its bands, so a
+    whole-raster call holds its output plus O(band) bytes."""
+
+    def __init__(self) -> None:
+        self._buffers: Dict[str, np.ndarray] = {}
+
+    def flat(self, key: str, size: int, dtype=np.float64) -> np.ndarray:
+        """A contiguous 1-D array of ``size`` elements, contents undefined."""
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:  # interior bands outgrow the first
+            buf = self._buffers[key] = np.empty(size, dtype=dtype)
+        return buf[:size]
+
+    def array(self, key: str, rows: int, cols: int, dtype=np.float64) -> np.ndarray:
+        """A C-contiguous ``(rows, cols)`` array, contents undefined."""
+        return self.flat(key, rows * cols, dtype).reshape(rows, cols)
+
+    def band(self, key: str, n: int, cols: int, dtype=np.float64):
+        """An accumulator for :func:`flat_views` arithmetic over an
+        ``(n, cols)`` band, as ``(flat, cells)`` over one buffer: ``flat``
+        lines up with the views, ``cells`` is its ``(n, cols)`` of real
+        output cells."""
+        full = self.array(key, n, cols + 2, dtype)
+        return full.reshape(-1)[:-2], full[:, :cols]
+
+
+def pad_rows(
+    block: np.ndarray,
+    fill: str | float = "edge",
+    r0: int = 0,
+    n: int | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Surround rows ``r0 .. r0+n-1`` of a row block (default: all of
+    it) with a one-cell ring, into ``out`` if given.
+
+    Ring rows inside the block are its real rows; only beyond the
+    block's own border does the ring hold ``fill``: ``'edge'`` replicates
+    the border (matching ``scipy.ndimage mode='nearest'``), a float pads
+    with that constant (flow routing uses ``+inf`` so padding is never
+    the minimum).  Padding only copies values, so a band of a block reads
+    bit for bit what ``np.pad`` of the whole block holds there.
     """
     if block.ndim != 2:
         raise KernelError(f"pad_rows expects 2-D, got shape {block.shape}")
     if isinstance(fill, str) and fill != "edge":
         raise KernelError(f"pad_rows fill must be 'edge' or a number, got {fill!r}")
-    # Hand-rolled ring (np.pad equivalent, minus its per-call overhead —
-    # this runs once per window per kernel application).  Padding only
-    # copies values, so the result is bit-identical to np.pad.
     rows, cols = block.shape
-    out = np.empty((rows + 2, cols + 2), dtype=block.dtype)
-    out[1:-1, 1:-1] = block
-    if fill == "edge":
-        out[0, 1:-1] = block[0]
-        out[-1, 1:-1] = block[-1]
-        out[:, 0] = out[:, 1]
-        out[:, -1] = out[:, -2]
-    else:
-        v = float(fill)
-        out[0, :] = v
-        out[-1, :] = v
-        out[1:-1, 0] = v
-        out[1:-1, -1] = v
+    n = rows if n is None else n
+    if out is None:
+        out = np.empty((n + 2, cols + 2), dtype=block.dtype)
+    edge = fill == "edge"
+    v = 0.0 if edge else float(fill)
+    out[1:-1, 1:-1] = block[r0 : r0 + n]
+    out[0, 1:-1] = block[r0 - 1] if r0 > 0 else (block[0] if edge else v)
+    out[-1, 1:-1] = block[r0 + n] if r0 + n < rows else (block[-1] if edge else v)
+    out[:, 0] = out[:, 1] if edge else v
+    out[:, -1] = out[:, -2] if edge else v
     return out
 
 
-#: (dr, dc) for each slot of :func:`neighbor_views` / D8 direction codes.
+#: (dr, dc) for each D8 direction code 1..8 and neighbour slot 0..7.
 D8_OFFSETS: Tuple[Tuple[int, int], ...] = (
     (-1, -1),
     (-1, 0),
@@ -119,14 +161,23 @@ D8_OFFSETS: Tuple[Tuple[int, int], ...] = (
 )
 
 
-def neighbor_views(padded: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """The 8 neighbour views of a padded block, each ``(rows, cols)``, in
-    :data:`D8_OFFSETS` order.  Slices of ``padded``, not copies: kernels
-    reduce over them instead of moving every element eight times."""
-    rows, cols = padded.shape[0] - 2, padded.shape[1] - 2
+def flat_views(padded: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The nine 3x3-window views of a C-contiguous padded band, row-major
+    (the eight neighbours, in :data:`D8_OFFSETS` order, are all but
+    ``[4]``), as contiguous 1-D slices — not copies: kernels reduce over
+    them instead of moving every element nine times.
+
+    A padded band ``(n + 2, w)`` is one buffer, so the neighbour at
+    ``(dr, dc)`` is a flat shift by ``dr * w + dc``: element ``r * w + c``
+    of every view belongs to output cell ``(r, c)``, and each pass is one
+    unit-stride loop.  The two elements per row with ``c >= cols``
+    straddle a row end: computed, never stored (:meth:`Scratch.band`).
+    """
+    w = padded.shape[1]
+    m = (padded.shape[0] - 2) * w - 2
+    flat = padded.reshape(-1)
     return tuple(
-        padded[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
-        for dr, dc in D8_OFFSETS
+        flat[dr * w + dc : dr * w + dc + m] for dr in range(3) for dc in range(3)
     )
 
 

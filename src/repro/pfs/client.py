@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import LayoutError, NodeDownError, PFSError
 from ..hw.cluster import Cluster
 from ..obs.span import NULL_SPAN, rpc_reply_bytes, rpc_status
-from ..sim import contain_failures
+from ..sim import contain_failures, outcome_of
 from .dataserver import (
     TAG_PFS,
     DataServer,
@@ -335,21 +335,6 @@ class PFSClient:
         return self.write(name, first * meta.element_size, data)
 
     # -- fault-tolerant read path -------------------------------------------------
-    def _guard(self, event):
-        """Subprocess translating an event's outcome into a value.
-
-        Racing raw events inside ``any_of`` is ambiguous when one can
-        *fail* (the whole condition fails without saying which leg).
-        A guard never fails: it finishes with ``("ok", value)`` or
-        ``("err", exc)``, and an abandoned guard completing after the
-        race was decided is harmless.
-        """
-        try:
-            value = yield event
-        except Exception as exc:  # noqa: BLE001 - outcome becomes data
-            return ("err", exc)
-        return ("ok", value)
-
     def _fill_positioned_ft(
         self, meta, name, positioned, out, policy, excluded, span=NULL_SPAN
     ):
@@ -403,7 +388,7 @@ class PFSClient:
                 tag=TAG_PFS,
             )
             guard = self.env.process(
-                self._guard(call), name=f"pfs-ft-guard:{self.home}->{server}"
+                outcome_of(call), name=f"pfs-ft-guard:{self.home}->{server}"
             )
             deadline = self.env.timeout(policy.rpc_timeout)
             hedge_timer = (
@@ -457,7 +442,7 @@ class PFSClient:
                         monitors.counter("faults.hedged_reads").add()
                         span.event("hedge", server=server)
                         hedge_guard = self.env.process(
-                            self._guard(
+                            outcome_of(
                                 self.env.process(
                                     self._fill_positioned_ft(
                                         meta,
@@ -556,9 +541,3 @@ class PFSClient:
         except KeyError:
             raise PFSError(f"no data server on node {name!r}") from None
 
-    @staticmethod
-    def _group_extents(extents: List[StripExtent]) -> Dict[str, List[StripExtent]]:
-        grouped: Dict[str, List[StripExtent]] = {}
-        for e in extents:
-            grouped.setdefault(e.server, []).append(e)
-        return grouped

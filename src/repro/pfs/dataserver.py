@@ -204,10 +204,6 @@ class DataServer:
         """Process: disk-write the pieces into the strip store."""
         return self.env.process(self._write_pieces(file, pieces), name=f"dsw:{self.name}")
 
-    def write_pieces_gen(self, file: str, pieces: List[WritePiece]):
-        """Generator form of :meth:`write_pieces` for ``yield from``."""
-        return self._write_pieces(file, pieces)
-
     def _write_pieces(self, file: str, pieces: List[WritePiece]):
         total = sum(p.data.nbytes for p in pieces)
         assert self.node.disk is not None

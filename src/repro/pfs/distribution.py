@@ -84,10 +84,6 @@ class Redistributor:
         """Transfers required to reach ``new_layout`` (see :func:`plan_moves`)."""
         return plan_moves(self.metadata.lookup(name), new_layout)
 
-    def predicted_bytes(self, name: str, new_layout: Layout) -> int:
-        """Total bytes the redistribution will put on the wire."""
-        return planned_bytes(self.metadata.lookup(name), new_layout)
-
     def redistribute(self, name: str, new_layout: Layout):
         """Process: perform the layout change; value is bytes moved."""
         return self.env.process(

@@ -55,10 +55,6 @@ class LocalFile:
             self.server.has_strip(self.name, s) for s in range(first, last + 1)
         )
 
-    def is_local_elems(self, first: int, count: int) -> bool:
-        offset, length = self.meta.elem_range_bytes(first, count)
-        return self.is_local(offset, length)
-
     # -- timed reads/writes --------------------------------------------------------
     def read(self, offset: int, length: int):
         """Process: disk-read local bytes; value is uint8[length]."""

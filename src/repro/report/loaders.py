@@ -73,14 +73,6 @@ class BenchSnapshot:
                 passed += bool(check.get("passed"))
         return passed, total
 
-    def failing_claims(self) -> List[str]:
-        return [
-            check.get("claim", "?")
-            for exp in self.experiments.values()
-            for check in exp.get("checks", ())
-            if not check.get("passed")
-        ]
-
 
 @dataclass(frozen=True)
 class AttributionFixture:

@@ -104,8 +104,9 @@ class BatchStats:
 
 
 def digest_bytes(raw) -> int:
-    """CRC-32 of a bytes-like buffer (numpy arrays included)."""
-    return zlib.crc32(bytes(memoryview(raw).cast("B")))
+    """CRC-32 of a C-contiguous bytes-like buffer (numpy arrays
+    included), hashed in place."""
+    return zlib.crc32(memoryview(raw).cast("B"))
 
 
 def combine_digests(parts: Iterable[Tuple[int, int]]) -> int:

@@ -20,6 +20,7 @@ from .events import (
     Event,
     Timeout,
     contain_failures,
+    outcome_of,
 )
 from .monitor import Counter, Gauge, MonitorHub, TraceRecord
 from .rand import RandomStreams
@@ -57,4 +58,5 @@ __all__ = [
     "Timeout",
     "TraceRecord",
     "contain_failures",
+    "outcome_of",
 ]

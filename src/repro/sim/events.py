@@ -339,6 +339,22 @@ def contain_failures(events):
     return events
 
 
+def outcome_of(event):
+    """Process body translating an event's outcome into a value.
+
+    Racing raw events inside ``any_of`` is ambiguous when one can
+    *fail* (the whole condition fails without saying which leg).
+    A guard never fails: it finishes with ``("ok", value)`` or
+    ``("err", exc)``, and an abandoned guard completing after the
+    race was decided is harmless.
+    """
+    try:
+        value = yield event
+    except Exception as exc:  # noqa: BLE001 - outcome becomes data
+        return ("err", exc)
+    return ("ok", value)
+
+
 class AllOf(Condition):
     """Succeeds once *all* the given events have succeeded."""
 

@@ -115,6 +115,42 @@ class TestPatternQueries:
         assert p.reach_before(1) == 2
         assert p.reach_after(1) == 5
 
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            DependencePattern.eight_neighbor("op"),
+            DependencePattern.four_neighbor("op"),
+            DependencePattern.stride("op", 7),
+            DependencePattern.independent("op"),
+            DependencePattern.from_offsets("op", [-2, 5]),
+            DependencePattern.from_offsets("op", [3, 9]),
+            DependencePattern.from_offsets("op", [-4, -1, 0]),
+            DependencePattern("op", [OffsetTerm(-2, 3), OffsetTerm(1, -5)]),
+        ],
+    )
+    @pytest.mark.parametrize("width", [1, 2, 10, 991])
+    def test_reach_equals_the_array_formulation(self, pattern, width):
+        offs = pattern.offsets(width)
+        neg, pos = offs[offs < 0], offs[offs > 0]
+        assert pattern.reach(width) == (int(np.abs(offs).max()) if offs.size else 0)
+        assert pattern.reach_before(width) == (int(-neg.min()) if neg.size else 0)
+        assert pattern.reach_after(width) == (int(pos.max()) if pos.size else 0)
+        for reach in (pattern.reach, pattern.reach_before, pattern.reach_after):
+            assert type(reach(width)) is int
+
+    def test_reach_of_a_width_dependent_pattern_needs_width(self):
+        p = DependencePattern.eight_neighbor("op")
+        for reach in (p.reach, p.reach_before, p.reach_after):
+            with pytest.raises(PatternParseError):
+                reach(0)
+
+    def test_kernels_build_their_pattern_once(self):
+        from repro.kernels import default_registry
+
+        for kernel in default_registry:
+            assert kernel.pattern() is kernel.pattern()
+            assert kernel.pattern().name == kernel.name
+
     def test_halo_rows(self):
         assert DependencePattern.eight_neighbor("x").halo_rows() == 2
         assert DependencePattern.four_neighbor("x").halo_rows() == 1

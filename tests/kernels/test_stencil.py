@@ -8,7 +8,7 @@ from repro.kernels import (
     Window,
     assemble_rows,
     extract_core,
-    neighbor_views,
+    flat_views,
     pad_rows,
     window_bounds,
 )
@@ -84,29 +84,38 @@ class TestPadRows:
         with pytest.raises(KernelError):
             pad_rows(np.zeros(5))
 
+    def test_a_band_takes_its_ring_rows_from_the_block(self):
+        block = np.arange(24, dtype=np.float64).reshape(6, 4)
+        whole = pad_rows(block, "edge")
+        out = np.empty((4, 6))
+        assert pad_rows(block, "edge", 2, 2, out=out) is out
+        assert np.array_equal(out, whole[2:6])  # rows 1 and 4 are real, not fill
+        assert np.array_equal(pad_rows(block, np.inf, 0, 3), pad_rows(block, np.inf)[:5])
+        assert np.array_equal(pad_rows(block, 0.0, 3, 3), pad_rows(block, 0.0)[3:])
+
     def test_unknown_string_fill_rejected(self):
         with pytest.raises(KernelError, match="wrap"):
             pad_rows(np.ones((2, 2)), "wrap")
 
 
 class TestNeighborStack:
-    """The stack is gone; its slot order lives on in ``neighbor_views``."""
+    """The stack is gone; its slot order lives on in ``flat_views``."""
 
     def test_stack_order_matches_d8_offsets(self):
         block = np.arange(25, dtype=np.float64).reshape(5, 5)
-        views = neighbor_views(pad_rows(block, 0.0))
-        assert len(views) == 8
-        centre = (2, 2)
+        views = flat_views(pad_rows(block, 0.0))
+        assert len(views) == 9 and all(v.shape == (5 * 7 - 2,) for v in views)
+        centre = 2 * 7 + 2  # cell (2, 2) of a band 5 + 2 wide
+        assert views[4][centre] == block[2, 2]
         for k, (dr, dc) in enumerate(D8_OFFSETS):
-            assert views[k].shape == (5, 5)
-            assert views[k][centre] == block[2 + dr, 2 + dc]
+            assert (views[:4] + views[5:])[k][centre] == block[2 + dr, 2 + dc]
 
     def test_views_share_memory_with_padded_block(self):
         p = pad_rows(np.zeros((3, 4)), 0.0)
-        views = neighbor_views(p)
-        assert all(np.shares_memory(v, p) and v.base is p for v in views)
+        views = flat_views(p)
+        assert all(np.shares_memory(v, p) and v.flags.c_contiguous for v in views)
         p[0, 0] = 7.0  # the NW view's first cell *is* the ring corner
-        assert views[0][0, 0] == 7.0
+        assert views[0][0] == 7.0
 
     def test_d8_offsets_antisymmetric(self):
         for k, (dr, dc) in enumerate(D8_OFFSETS):

@@ -8,6 +8,7 @@ the real storage stack completes with fewer fan-outs, fewer header and
 halo bytes, and byte-identical outputs compared to unbatched dispatch.
 """
 
+import zlib
 from collections import deque
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.serve import (
     batch_key,
     merge_window,
 )
+from repro.serve.batch import digest_bytes
 from repro.workloads import fractal_dem
 
 QUANTUM = 1024
@@ -65,6 +67,23 @@ class TestBatchKey:
         other = _req(4, "a")
         other.pipeline_length = 3
         assert batch_key(other) != batch_key(base)
+
+
+class TestDigestBytes:
+    def test_hashes_the_buffer_it_is_given(self):
+        raster = np.arange(35, dtype=np.float64).reshape(5, 7)
+        raster.setflags(write=False)  # what the dataset cache hands out
+        assert digest_bytes(raster) == zlib.crc32(raster.tobytes())
+        assert digest_bytes(raster[1:3]) == zlib.crc32(raster[1:3].tobytes())
+        assert digest_bytes(b"strip") == zlib.crc32(b"strip")
+        assert digest_bytes(np.empty(0)) == 0
+
+    def test_non_contiguous_input_is_rejected(self):
+        raster = np.arange(35, dtype=np.float64).reshape(5, 7)
+        with pytest.raises(TypeError):
+            digest_bytes(raster[:, ::2])
+        with pytest.raises(TypeError):
+            digest_bytes(raster.T)
 
 
 class TestMergeWindow:
