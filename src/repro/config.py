@@ -89,8 +89,6 @@ class SimConfig:
     strip_size: int = 64 * KiB
     #: Element size E in bytes (float64 raster cells).
     element_size: int = 8
-    #: Granularity (bytes) at which servers batch halo/data requests.
-    request_batch: int = 1 * MiB
 
 
 #: Paper-like platform: used by the harness presets.

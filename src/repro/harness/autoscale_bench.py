@@ -274,13 +274,12 @@ def autoscale_bench(
         rerun,
         auto_summary,
     )
-    checks += replays.traced("autoscale", rerun, auto_summary, meta)
     # The full-length surge plays the whole incident on the sampler:
     # queue-growth trips first (the leading indicator), saturation and
     # both burn pages follow, and the controller's scale-up must resolve
     # every one of them before the horizon.  Reduced-scale runs skip the
     # expectations for the same reason they skip the surge/recovery checks.
-    aux_checks = replays.sampled(
+    aux_checks = replays.observed(
         "autoscale",
         rerun,
         auto_summary,

@@ -360,7 +360,7 @@ def chaos_bench(
     # The storm cell exercises the whole fault vocabulary — crash, disk
     # slowdown, link cut, timeouts, retries, hedges — so its trace
     # carries every instant-event kind the exporter knows.
-    checks += replays.traced(
+    aux_checks = replays.traced(
         "chaos_storm_DAS",
         runs["storm-DAS"],
         summaries["storm-DAS"],
@@ -377,7 +377,7 @@ def chaos_bench(
         t_cell, expect = "crash-NAS", ("availability-burn", "latency-burn")
     else:
         t_cell, expect = "storm-DAS", ()
-    aux_checks = replays.sampled(
+    aux_checks += replays.sampled(
         f"chaos_{t_cell.replace('-', '_')}",
         runs[t_cell],
         summaries[t_cell],

@@ -14,12 +14,14 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..sim.core import events_dispatched_total
 from ..units import KiB
 
 
+@dataclass
 class BenchTiming:
     """Wall-clock and engine-event accounting for one timed bench region.
 
@@ -30,23 +32,14 @@ class BenchTiming:
     every ``BENCH_*.json`` payload records (see docs/BENCHMARKS.md).
     """
 
-    __slots__ = ("wall_seconds", "events_dispatched")
-
-    def __init__(self, wall_seconds: float = 0.0, events_dispatched: int = 0):
-        self.wall_seconds = wall_seconds
-        self.events_dispatched = events_dispatched
+    wall_seconds: float = 0.0
+    events_dispatched: int = 0
 
     @property
     def events_per_wall_second(self) -> float:
         if self.wall_seconds <= 0.0:
             return 0.0
         return self.events_dispatched / self.wall_seconds
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"BenchTiming(wall_seconds={self.wall_seconds:.3f},"
-            f" events_dispatched={self.events_dispatched})"
-        )
 
 
 @contextmanager

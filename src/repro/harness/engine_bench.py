@@ -14,7 +14,7 @@ as a scheduling-contract check: with ``verify=True`` the timeout storm
 is run twice and must dispatch the identical event count.  The wall
 columns (``wall_seconds``, ``events_per_wall_second``,
 ``requests_per_wall_second``) are host-dependent and volatile;
-``scripts/check_regression.py`` strips them before comparing payloads
+``python -m repro.verify regression`` strips them before comparing payloads
 and applies a tolerance to the walls instead.
 
 Results land in ``benchmarks/BENCH_engine.json`` via the shared

@@ -17,11 +17,11 @@ class ExperimentReport:
     rows: List[dict]
     checks: List[Tuple[str, bool]] = field(default_factory=list)
     notes: str = ""
-    #: Checks from diagnostic replays (e.g. the telemetry sampler's
-    #: non-perturbation proof).  They gate the run like ``checks`` do,
-    #: but stay out of the recorded ``BENCH_*.json`` trajectory: the
-    #: payload must be bit-identical whether or not a diagnostic flag
-    #: was passed.
+    #: Checks from the observer replays (the tracer's and the sampler's
+    #: non-perturbation proofs and artifact bounds).  They gate the run
+    #: like ``checks`` do, but stay out of the recorded ``BENCH_*.json``
+    #: trajectory: the payload must be bit-identical whether or not a
+    #: diagnostic flag was passed.
     aux_checks: List[Tuple[str, bool]] = field(default_factory=list)
 
     @property

@@ -522,7 +522,6 @@ def fleet_bench(
         rerun,
         isolation,
     )
-    checks += replays.traced("fleet_isolation", rerun, isolation, meta)
     # The isolation run in alert form: the router's probes page
     # fleet-unhealthy while cell-0 rides out its faults (and resolve it
     # once healed), spillover tickets while traffic diverts, and the
@@ -530,7 +529,7 @@ def fleet_bench(
     # healthy cells' ledgers staying empty IS the isolation claim.
     # Reduced-scale runs skip the expectations with the other lifecycle
     # checks.
-    aux_checks = replays.sampled(
+    aux_checks = replays.observed(
         "fleet_isolation",
         rerun,
         isolation,

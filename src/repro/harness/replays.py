@@ -18,17 +18,21 @@ same thing — the re-run is *indistinguishable* from the recorded run:
   sampler + alert engine attached must reproduce it outside its own
   ``telemetry`` summary block, the alert ledger must be well-formed
   and, when the cell declares them, the expected alerts must have fired
-  and resolved.  Writes ``<label>.telemetry.json`` (schema
-  ``repro.telemetry/1``, validated by ``scripts/check_telemetry.py``).
+  and resolved.  Writes ``<label>.telemetry.json`` (validated by
+  ``python -m repro.verify telemetry``).
 
 The bench supplies what is genuinely its own — which cell, a
 ``run(tracer=None, telemetry=None) -> (summary, system)`` callable, the
 recorded summary, its claim text and artifact metadata; a
-:class:`Replays` does the rest.  Nothing beyond verify runs
-unless a directory is given, and the telemetry replay is kept out of
-the recorded event tally and reports through ``aux_checks``, so the
-default bench trajectories (``benchmarks/BENCH_*.json``) stay
-bit-identical whatever diagnostic flags are passed.
+:class:`Replays` does the rest.  Nothing beyond verify runs unless a
+directory is given, and both observer replays hold one contract: they
+run :func:`~repro.sim.core.untallied` (verification overhead, not bench
+workload) and report through ``aux_checks``, so the recorded bench
+trajectories (``benchmarks/BENCH_*.json``) are bit-identical whatever
+diagnostic flags are passed — one ``harness all`` with every directory
+regenerates the whole committed record.  Artifact names, the schema
+marker and the tracer's acceptance bounds are the committed record's
+format, owned by :mod:`repro.report.loaders`.
 """
 
 from __future__ import annotations
@@ -40,13 +44,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..metrics.critical_path import critical_path
 from ..obs import Tracer, trace_document, validate_trace
+from ..report.loaders import (
+    ATTRIBUTION_SUFFIX,
+    MAX_ATTRIBUTION_ERROR,
+    MIN_COVERAGE,
+    TELEMETRY_SUFFIX,
+    TRACE_SUFFIX,
+)
 from ..sim.core import untallied
 from ..telemetry import TelemetryConfig
-
-#: Acceptance bounds (see ISSUE/ROADMAP): span coverage and the
-#: attribution-sum error of the critical-path decomposition.
-MIN_COVERAGE = 0.95
-MAX_ATTRIBUTION_ERROR = 0.01
 
 Check = Tuple[str, bool]
 #: ``run(tracer=None, telemetry=None) -> (summary, system)``; ``system``
@@ -82,21 +88,40 @@ class Replays:
             return []
         return [(claim, run()[0] == baseline)]
 
+    def observed(
+        self,
+        label: str,
+        run: RunCell,
+        baseline,
+        meta,
+        expect_alerts: Sequence[str] = (),
+    ) -> List[Check]:
+        """Both observer replays of one cell — :meth:`traced` then
+        :meth:`sampled` — as one list of aux checks."""
+        return self.traced(label, run, baseline, meta) + self.sampled(
+            label, run, baseline, meta, expect_alerts
+        )
+
     def traced(self, label: str, run: RunCell, baseline, meta) -> List[Check]:
-        """The traced re-run and its four checks; writes the trace and
-        attribution artifacts (``meta`` lands in the trace document).
-        Empty without a trace directory."""
+        """The traced re-run and its four checks (report them as
+        ``aux_checks``); writes the trace and attribution artifacts
+        (``meta`` lands in the trace document).  Empty without a trace
+        directory."""
         if self.trace_dir is None:
             return []
         tracer = Tracer(sample=1.0 / max(1, int(self.trace_sample)))
-        summary, _ = run(tracer=tracer)
+        # The replay is verification overhead, not bench workload: keep its
+        # events out of the process-wide tally so the recorded trajectory is
+        # bit-identical with or without --trace-dir.
+        with untallied():
+            summary, _ = run(tracer=tracer)
         doc = trace_document(
             tracer, meta=dict(meta, sample_every=tracer.sample_every)
         )
-        _write_json(self.trace_dir, f"{label}.trace.json", doc)
+        _write_json(self.trace_dir, label + TRACE_SUFFIX, doc)
         problems = validate_trace(doc)
         report = critical_path(tracer)
-        _write_json(self.trace_dir, f"{label}.attribution.json", report.as_dict())
+        _write_json(self.trace_dir, label + ATTRIBUTION_SUFFIX, report.as_dict())
         min_cov = report.min_coverage()
         max_err = report.max_attribution_error()
         return [
@@ -139,15 +164,12 @@ class Replays:
         if self.telemetry_dir is None:
             return []
         config = TelemetryConfig()
-        # The replay is verification overhead, not bench workload: keep its
-        # events out of the process-wide tally so the recorded trajectory is
-        # bit-identical with or without --telemetry-dir.
-        with untallied():
+        with untallied():  # same contract as the traced replay
             summary, system = run(telemetry=config)
         sampler = system.telemetry
         _write_json(
             self.telemetry_dir,
-            f"{label}.telemetry.json",
+            label + TELEMETRY_SUFFIX,
             sampler.payload(label, meta=dict(meta, interval=config.interval)),
         )
         block = summary.get("telemetry")

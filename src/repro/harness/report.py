@@ -2,29 +2,23 @@
 
 The results document is generated, never hand-edited: this subcommand
 renders it from the committed measurement record (``benchmarks/``,
-``benchmarks/history/``, ``benchmarks/attribution/``) via
-:func:`repro.report.generate_results` and writes it in place.  With
-``--check`` nothing is written; the freshly rendered text is compared
-byte-for-byte against the committed file and drift is a non-zero exit
-— the same gate `scripts/check_results.py` runs in CI.
+``benchmarks/history/``, ``benchmarks/attribution/``,
+``benchmarks/telemetry/``) via :func:`repro.report.generate_results`
+and writes it in place.  The drift gate — the committed file must equal
+the rendered text byte for byte — is ``python -m repro.verify results``,
+which calls the same function.
 
 Run from the repository root::
 
     PYTHONPATH=src python -m repro.harness report
-    PYTHONPATH=src python -m repro.harness report --check
     PYTHONPATH=src python -m repro.harness report --output /tmp/RESULTS.md
 """
 
 from __future__ import annotations
 
 import argparse
-import difflib
-import sys
 from pathlib import Path
 from typing import List, Optional
-
-#: Lines of unified diff shown on drift before truncating.
-DIFF_LINES = 40
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,35 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--benchmarks-dir",
         default="benchmarks",
         metavar="DIR",
-        help="directory of committed BENCH_*.json snapshots (default: benchmarks)",
-    )
-    parser.add_argument(
-        "--history-dir",
-        default="benchmarks/history",
-        metavar="DIR",
         help=(
-            "append-only JSONL ledger directory rendered as the trend"
-            " tables (default: benchmarks/history; may be absent)"
-        ),
-    )
-    parser.add_argument(
-        "--attribution-dir",
-        default="benchmarks/attribution",
-        metavar="DIR",
-        help=(
-            "directory of committed <label>.attribution.json critical-path"
-            " fixtures rendered as text flames (default:"
-            " benchmarks/attribution; may be absent)"
-        ),
-    )
-    parser.add_argument(
-        "--telemetry-dir",
-        default="benchmarks/telemetry",
-        metavar="DIR",
-        help=(
-            "directory of committed <label>.telemetry.json sampler"
-            " artifacts rendered as the fleet health timeline (default:"
-            " benchmarks/telemetry; may be absent)"
+            "root of the record to render: BENCH_*.json snapshots, with the"
+            " history/ ledger, attribution/ fixtures and telemetry/"
+            " artifacts beneath it, each optional (default: benchmarks)"
         ),
     )
     parser.add_argument(
@@ -76,66 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="where the rendered report goes (default: docs/RESULTS.md)",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "write nothing; exit 1 with a diff if the committed file at"
-            " --output does not match the regenerated text byte for byte"
-        ),
-    )
     return parser
-
-
-def drift_diff(committed: str, regenerated: str, path: str) -> List[str]:
-    """Unified-diff lines (truncated) between committed and regenerated."""
-    diff = list(
-        difflib.unified_diff(
-            committed.splitlines(),
-            regenerated.splitlines(),
-            fromfile=f"{path} (committed)",
-            tofile=f"{path} (regenerated)",
-            lineterm="",
-        )
-    )
-    if len(diff) > DIFF_LINES:
-        diff = diff[:DIFF_LINES] + [
-            f"... ({len(diff) - DIFF_LINES} more diff lines)"
-        ]
-    return diff
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     from ..report import generate_results
 
-    text = generate_results(
-        bench_dir=args.benchmarks_dir,
-        history_dir=args.history_dir,
-        attribution_dir=args.attribution_dir,
-        telemetry_dir=args.telemetry_dir,
-    )
+    text = generate_results(args.benchmarks_dir)
     out = Path(args.output)
-    if args.check:
-        if not out.exists():
-            print(f"FAIL: {out} does not exist — run without --check to"
-                  " generate it", file=sys.stderr)
-            return 1
-        committed = out.read_text(encoding="utf-8")
-        if committed != text:
-            print(f"FAIL: {out} drifted from the committed inputs —"
-                  " regenerate it (python -m repro.harness report):",
-                  file=sys.stderr)
-            for line in drift_diff(committed, text, str(out)):
-                print(line, file=sys.stderr)
-            return 1
-        print(f"{out} matches its inputs byte for byte")
-        return 0
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text, encoding="utf-8")
     print(f"wrote {out} ({len(text.splitlines())} lines)")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
             "serve/chaos/autoscale/fleet benches: re-run one"
             " representative cell with the clock-driven telemetry"
             " sampler + alert engine on, write DIR/<cell>.telemetry.json"
-            " (validated by scripts/check_telemetry.py), and check the"
+            " (validated by python -m repro.verify telemetry), and check the"
             " sampled run is bit-identical to the unsampled one"
         ),
     )

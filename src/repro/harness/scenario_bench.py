@@ -119,9 +119,10 @@ def scenario_bench(
             summary,
         )
 
+    aux_checks = []
     if specs:
         first = specs[0].name
-        checks += replays.traced(
+        aux_checks = replays.traced(
             f"scenario-{first}",
             *recorded[first],
             {"bench": "scenario-bench", "scenario": first},
@@ -132,6 +133,7 @@ def scenario_bench(
         title="Declarative scenarios: library runs vs their declared gates",
         rows=rows,
         checks=checks,
+        aux_checks=aux_checks,
         notes=(
             f"{len(specs)} scenario(s); every check above is declared in"
             " the scenario document itself (see docs/SCENARIOS.md)."

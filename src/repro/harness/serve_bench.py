@@ -316,7 +316,7 @@ def serve_bench(
         )
         t_scheme = "DAS" if "DAS" in schemes else schemes[0]
         t_load = 1.0 if 1.0 in loads else loads[0]
-        observed = (
+        aux_checks = replays.observed(
             f"serve_{t_scheme}_x{t_load:g}",
             cell(t_scheme, t_load),
             summaries[(t_scheme, t_load, 1)],
@@ -327,8 +327,6 @@ def serve_bench(
                 "duration": duration,
             },
         )
-        checks += replays.traced(*observed)
-        aux_checks = replays.sampled(*observed)
 
     topology = SERVE_CELL.topology
     return ExperimentReport(

@@ -11,7 +11,7 @@ declared exactly (:class:`MetricSpec`) or covered by a declared
 
 :class:`MetricRegistry` wraps a hub with catalog-aware access plus
 :class:`Histogram` support (the distribution type the hub lacks);
-``scripts/check_counters.py`` and the docs-consistency CI job use
+``python -m repro.verify counters`` (CI: the ``record`` job) uses
 :meth:`MetricRegistry.undeclared` to fail the build when a new counter
 ships without a declaration, and docs/OPERATIONS.md documents the
 catalog itself.
@@ -65,7 +65,7 @@ def _spec(name, kind, unit, help, family=False) -> MetricSpec:
 
 
 #: Every metric the runtime books, declared.  Kept in lockstep with
-#: docs/OPERATIONS.md by ``scripts/check_counters.py``.
+#: docs/OPERATIONS.md by ``python -m repro.verify counters``.
 CATALOG: Tuple[MetricSpec, ...] = (
     # -- alerting engine (telemetry scopes) -----------------------------------
     _spec("alert.fired", COUNTER, "events",
@@ -354,7 +354,7 @@ class MetricRegistry:
 
     # -- reporting -------------------------------------------------------------
     def describe(self) -> List[dict]:
-        """The catalog as rows (docs + check_counters render this)."""
+        """The catalog as rows (docs + the counters gate render this)."""
         return [
             {
                 "name": s.name + ("*" if s.family else ""),

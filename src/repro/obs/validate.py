@@ -1,6 +1,6 @@
 """Structural validation of exported trace-event JSON.
 
-Shared by ``scripts/check_trace.py`` (the CI trace-smoke job) and the
+Shared by ``python -m repro.verify trace`` (CI: the ``record`` job) and the
 test suite: a trace a human would debug with must be one Perfetto can
 actually load and one whose tree is sound — every span ends at or after
 it starts, every ``parent`` sid exists, and a child lies inside its

@@ -15,7 +15,7 @@ The emitter is **deterministic**: no timestamps, hostnames or wall
 clocks of the generating run appear in the output — everything is a
 pure function of the committed input files, so regenerating the
 committed report must reproduce it byte for byte.  That exactness is
-what `scripts/check_results.py` (CI ``results-smoke``) enforces: a
+what ``python -m repro.verify results`` (CI ``record``) enforces: a
 change that shifts a number must regenerate the report in the same
 commit, or the drift gate fails.
 

@@ -7,11 +7,12 @@ times never appear; wall-clock figures are only ever shown as ranges
 over the committed history ledger, and the exactly-reproducible fields
 (rows, check verdicts, event counts) are printed as-is.  Regenerating
 from the same tree therefore reproduces the committed file byte for
-byte — the contract `scripts/check_results.py` enforces in CI.
+byte — the contract ``python -m repro.verify results`` enforces in CI.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .flame import render_flame, sparkline
@@ -71,7 +72,7 @@ _HEADER = """\
 
 <!-- GENERATED FILE — do not edit by hand.
      Regenerate:  PYTHONPATH=src python -m repro.harness report
-     Drift gate:  python scripts/check_results.py  (CI job: results-smoke) -->
+     Drift gate:  PYTHONPATH=src python -m repro.verify results  (CI job: record) -->
 
 The measured state of the repository, rendered from its committed
 measurement record and nothing else: the [`benchmarks/`](../benchmarks)
@@ -176,7 +177,7 @@ def _trend_section(
         "## Run-over-run trends",
         "",
         "One row per run recorded by",
-        "[`scripts/check_regression.py --history-dir`](BENCHMARKS.md#the-history-ledger)",
+        "[`python -m repro.verify regression --history-dir`](BENCHMARKS.md#the-history-ledger)",
         "(append order; a new entry lands on every gated regeneration,",
         "so the trajectory grows PR over PR).  `events dispatched` must",
         "be identical between passing runs at the same scale; the wall",
@@ -413,18 +414,23 @@ def _paper_section(snapshots: Sequence[BenchSnapshot]) -> List[str]:
 
 def generate_results(
     bench_dir="benchmarks",
-    history_dir="benchmarks/history",
-    attribution_dir="benchmarks/attribution",
-    telemetry_dir="benchmarks/telemetry",
+    history_dir=None,
+    attribution_dir=None,
+    telemetry_dir=None,
     snapshots: Optional[Sequence[BenchSnapshot]] = None,
 ) -> str:
     """The complete docs/RESULTS.md text for one committed input set.
 
-    ``snapshots`` overrides the directory scan (the tests inject
-    fixture payloads directly); the history, attribution and telemetry
-    directories may be absent, in which case their sections render
-    empty/omitted.
+    ``bench_dir`` is the record root; the ledger, attribution fixtures
+    and telemetry artifacts default to its ``history/``, ``attribution/``
+    and ``telemetry/`` subdirectories (the committed layout) and may be
+    absent, in which case their sections render empty/omitted.  ``snapshots`` overrides the directory scan (the
+    tests inject fixture payloads directly).
     """
+    root = Path(bench_dir)
+    history_dir = history_dir or root / "history"
+    attribution_dir = attribution_dir or root / "attribution"
+    telemetry_dir = telemetry_dir or root / "telemetry"
     if snapshots is None:
         snapshots = load_benchmarks(bench_dir)
     ledgers = load_history(history_dir)

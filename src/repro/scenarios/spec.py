@@ -17,7 +17,7 @@ composing everything one serving experiment needs:
   run's summary (see :mod:`repro.scenarios.checks`).
 
 The schema's vocabulary lives here as ``*_KEYS`` constants; the loader
-uses them for unknown-key errors and ``scripts/check_docs.py`` uses
+uses them for unknown-key errors and ``python -m repro.verify docs`` uses
 them to hold docs/SCENARIOS.md to account.  :meth:`ScenarioSpec.to_dict`
 emits the canonical dict form: loading it back yields an equal spec
 (round-trip identity, pinned by tests).
@@ -99,7 +99,7 @@ AUTOSCALE_KEYS = (
 )
 CHECK_KEYS = ("check", "value", "tenant", "alert")
 
-#: Section name -> its key vocabulary (what check_docs introspects).
+#: Section name -> its key vocabulary (what the docs gate introspects).
 SCHEMA_SECTIONS = {
     "top": TOP_KEYS,
     "topology": TOPOLOGY_KEYS,

@@ -40,7 +40,10 @@ from ..metrics.stats import latency_summary
 from .alerts import AlertEngine, AlertRule
 from .series import SeriesBank
 
-__all__ = ["SCRAPE_PREFIXES", "TelemetryConfig", "TelemetrySampler"]
+__all__ = ["SCHEMA", "SCRAPE_PREFIXES", "TelemetryConfig", "TelemetrySampler"]
+
+#: Schema marker every ``<cell>.telemetry.json`` artifact carries.
+SCHEMA = "repro.telemetry/1"
 
 #: Metric-name prefixes scraped into series.  Deliberately the
 #: health-relevant families, not the per-owner device/network tallies —
@@ -251,7 +254,7 @@ class TelemetrySampler:
                 }
             scopes[scope.label] = block
         doc: Dict[str, object] = {
-            "schema": "repro.telemetry/1",
+            "schema": SCHEMA,
             "label": label,
             "interval": self.interval,
             "samples": self._tick,

@@ -1,10 +1,4 @@
-#!/usr/bin/env python
-"""Counter-catalog checker: every runtime metric is declared and documented.
-
-Run from the repository root (the docs-consistency CI job runs it on
-every push; needs numpy, unlike ``check_docs.py``)::
-
-    python scripts/check_counters.py
+"""The ``counters`` gate: every runtime metric is declared and documented.
 
 The check drives three short but *maximally messy* serving runs — the
 ``chaos-storm`` library scenario (crash + slow disk + link cut,
@@ -33,12 +27,14 @@ site, the catalog, and the docs — or this check fails the build.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
 from typing import List
 
-REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
+from ..harness.autoscale_bench import MAX_SERVERS, MIN_SERVERS, autoscale_spec
+from ..harness.fleet_bench import fleet_run, fleet_tenants
+from ..metrics.registry import CATALOG
+from ..scenarios import load_scenario, run_scenario
+from ..telemetry import TelemetryConfig
+from .docs import REPO
 
 #: Short enough for CI, long enough that at least one autoscale resize
 #: lands (the storm's schedule is pinned by its scenario document) and
@@ -55,12 +51,7 @@ def storm_system():
     single source of the storm's shape — crash + slow disk + link cut,
     recovery armed, batching on — so this check exercises the same cell
     the scenario bench gates."""
-    from repro.scenarios import build_scenario, load_scenario
-    from repro.serve import ServeSystem
-
-    pfs, config = build_scenario(load_scenario("chaos-storm"))
-    system = ServeSystem(pfs, config)
-    system.run()
+    _, system = run_scenario(load_scenario("chaos-storm"))
     if system.telemetry is None:
         raise RuntimeError(
             "chaos-storm no longer declares alert gates, so the telemetry"
@@ -72,13 +63,6 @@ def storm_system():
 
 def autoscale_system():
     """An autoscale cell (resizes both ways); returns the live system."""
-    from repro.harness.autoscale_bench import (
-        MAX_SERVERS,
-        MIN_SERVERS,
-        autoscale_spec,
-    )
-    from repro.scenarios import run_scenario
-
     _, system = run_scenario(
         autoscale_spec(MIN_SERVERS, MAX_SERVERS, MIN_SERVERS, AUTOSCALE_DURATION)
     )
@@ -89,9 +73,6 @@ def fleet_system():
     """A 2-cell federated run — chaos in one cell, long-tail fluid load,
     router probes and spillover — so the fleet tier books its ``fleet.*``
     counters and gauges; returns the live FleetSystem."""
-    from repro.harness.fleet_bench import fleet_run, fleet_tenants
-    from repro.telemetry import TelemetryConfig
-
     _, system = fleet_run(
         2,
         fleet_tenants(),
@@ -104,24 +85,9 @@ def fleet_system():
     return system
 
 
-def check_fleet(system) -> List[str]:
-    """The fleet hub (router/controller/long-tail metrics) plus every
-    cell's own registry, histograms included."""
-    problems = []
-    registry = system.metrics
-    booked = len(registry.monitors.counters) + len(registry.monitors.gauges)
-    for name in registry.undeclared():
-        problems.append(f"fleet: booked metric {name!r} is not in the catalog")
-    for issue in registry.mistyped():
-        problems.append(f"fleet: {issue}")
-    if not problems:
-        print(f"  fleet: {booked} booked counters/gauges all declared")
-    for cell in system.cells:
-        problems += check_run(f"fleet/{cell.name}", cell)
-    return problems
-
-
-def check_run(label: str, system, telemetry: bool = False) -> List[str]:
+def check_run(
+    label: str, system, telemetry: bool = False, histograms: bool = True
+) -> List[str]:
     problems = []
     registry = system.metrics
     booked = len(registry.monitors.counters) + len(registry.monitors.gauges)
@@ -129,7 +95,7 @@ def check_run(label: str, system, telemetry: bool = False) -> List[str]:
         problems.append(f"{label}: booked metric {name!r} is not in the catalog")
     for issue in registry.mistyped():
         problems.append(f"{label}: {issue}")
-    if not registry.histograms:
+    if histograms and not registry.histograms:
         problems.append(f"{label}: no histograms were observed")
     if telemetry:
         # The sampler's own meta-metrics must land in the hub (and, via
@@ -146,9 +112,16 @@ def check_run(label: str, system, telemetry: bool = False) -> List[str]:
     return problems
 
 
-def check_documented() -> List[str]:
-    from repro.metrics.registry import CATALOG
+def check_fleet(system) -> List[str]:
+    """The fleet hub (router/controller/long-tail metrics; it observes no
+    histograms of its own) plus every cell's own registry."""
+    problems = check_run("fleet", system, histograms=False)
+    for cell in system.cells:
+        problems += check_run(f"fleet/{cell.name}", cell)
+    return problems
 
+
+def check_documented() -> List[str]:
     if not OPERATIONS_DOC.exists():
         return [f"{OPERATIONS_DOC.name}: missing"]
     text = OPERATIONS_DOC.read_text()
@@ -163,24 +136,15 @@ def check_documented() -> List[str]:
     return problems
 
 
-def main() -> int:
+def check_counters() -> List[str]:
+    """Drive the three runs and the docs sweep; every problem found."""
     problems: List[str] = []
-    print("running chaos-storm cell (faults + batching + recovery + telemetry):")
+    print("  running chaos-storm cell (faults + batching + recovery + telemetry):")
     problems += check_run("storm", storm_system(), telemetry=True)
-    print("running autoscale cell (resize up/down):")
+    print("  running autoscale cell (resize up/down):")
     problems += check_run("autoscale", autoscale_system())
-    print("running federated fleet (2 cells, chaos + long-tail):")
+    print("  running federated fleet (2 cells, chaos + long-tail):")
     problems += check_fleet(fleet_system())
-    print("checking the catalog against docs/OPERATIONS.md:")
+    print("  checking the catalog against docs/OPERATIONS.md:")
     problems += check_documented()
-    if problems:
-        print(f"counter-check: {len(problems)} problem(s):")
-        for p in problems:
-            print(f"  {p}")
-        return 1
-    print("counter-check: every runtime metric is declared and documented")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return problems

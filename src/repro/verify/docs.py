@@ -1,26 +1,24 @@
-#!/usr/bin/env python
-"""Docs-consistency checker: links resolve, documented flags exist.
+"""The ``docs`` gate: links resolve, documented flags exist, the
+scenario document matches the schema.
 
-Run from the repository root (CI runs it on every push)::
-
-    python scripts/check_docs.py
-
-Two families of drift this catches:
+Three families of drift this catches:
 
 1. **Internal links.**  Every relative markdown link — ``[text](path)``
    or ``[text](path#anchor)`` — in the checked documents must point at
    a file that exists, and when it carries an anchor, at a heading that
    renders to that anchor under GitHub's slug rules.
 
-2. **CLI flags.**  Every ``--flag`` a document attributes to the
-   harness must exist in ``repro.harness.runner.build_parser()`` or in
-   the report subcommand's (``repro.harness.report``).  Two places
-   count as
-   "attributing to the harness": fenced-code lines that invoke
-   ``python -m repro.harness...`` or ``das-harness`` (line
-   continuations followed), and inline code spans that consist of a
-   flag, like ``--batch-max N``.  Flags belonging to other tools
-   (pip, pytest) live in :data:`FOREIGN_FLAGS`.
+2. **CLI flags.**  Every ``--flag`` a document attributes to one of the
+   repository's own tools must exist in that tool's real argparse
+   parser: ``repro.harness`` (the runner and its ``report``
+   subcommand) or ``repro.verify``.  Two places count as attributing a
+   flag: fenced-code lines that invoke the tool — ``python -m
+   repro.harness...`` / ``das-harness`` / ``python -m repro.verify...``,
+   line continuations followed — which are held to that tool's parser,
+   and inline code spans that consist of a flag, like ``--batch-max N``,
+   which must exist in one of them.  Flags belonging to other tools
+   (pip, pytest, ``scripts/profile_sim.py``) live in
+   :data:`FOREIGN_FLAGS`.
 
 3. **Scenario schema.**  docs/SCENARIOS.md must document every key of
    the scenario schema (``repro.scenarios.spec.SCHEMA_SECTIONS``),
@@ -29,19 +27,20 @@ Two families of drift this catches:
    every field-table row in that document (``| `token` | ...``) must
    name something the schema actually has — so the doc and the loader
    cannot drift apart in either direction.
-
-Stdlib only (the flag/schema checks import the repo's own package);
-exits non-zero listing every problem found.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from pathlib import Path
-from typing import List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
-REPO = Path(__file__).resolve().parent.parent
+from ..harness import report
+from ..harness.runner import build_parser
+from ..scenarios import CHECKS, library_names
+from ..scenarios.spec import SCHEMA_SECTIONS
+
+REPO = Path(__file__).resolve().parents[3]
 
 #: Documents swept for links and flags (relative to the repo root).
 DOCUMENTS = (
@@ -61,7 +60,7 @@ DOCUMENTS = (
 #: The document held to the scenario-schema vocabulary.
 SCENARIOS_DOC = "docs/SCENARIOS.md"
 
-#: Inline-code flags that belong to other tools, not the harness.
+#: Inline-code flags that belong to other tools, not this repository's.
 FOREIGN_FLAGS = {
     "--no-build-isolation",  # pip
     "--benchmark-only",  # pytest-benchmark
@@ -69,27 +68,18 @@ FOREIGN_FLAGS = {
     "--engine",
     "--sort",
     "--top",
-    # scripts/check_regression.py
-    "--baseline",
-    "--candidate",
-    "--files",
-    "--wall-tolerance",
-    "--no-wall",
-    "--history-dir",
-    "--throughput-tolerance",
-    # scripts/check_results.py
-    "--results",
-    "--update",
-    # scripts/check_telemetry.py
-    "--expect-fired",
-    "--expect-resolved",
+}
+
+#: Fenced-command pattern -> the tool whose parser its flags are held to.
+TOOL_RES = {
+    "harness": re.compile(r"repro\.harness|das-harness"),
+    "verify": re.compile(r"repro\.verify"),
 }
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^(```|~~~)")
 INLINE_CODE_RE = re.compile(r"`([^`]+)`")
 FLAG_RE = re.compile(r"--[a-zA-Z][\w-]*")
-HARNESS_CMD_RE = re.compile(r"repro\.harness|das-harness")
 TABLE_FIELD_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 CODE_TOKEN_RE = re.compile(r"[A-Za-z][\w-]*")
 
@@ -114,26 +104,28 @@ def github_slug(heading: str) -> str:
     return text.replace(" ", "-")
 
 
-def heading_anchors(path: Path) -> Set[str]:
-    anchors: Set[str] = set()
-    in_fence = False
-    for line in path.read_text().splitlines():
-        if FENCE_RE.match(line.strip()):
-            in_fence = not in_fence
-            continue
-        if not in_fence and line.startswith("#"):
-            anchors.add(github_slug(line))
-    return anchors
-
-
-def check_links(doc: Path) -> List[str]:
-    problems = []
+def _lines(doc: Path) -> Iterator[Tuple[int, str, bool]]:
+    """``(lineno, line, in_fence)`` for every line but the fence markers."""
     in_fence = False
     for lineno, line in enumerate(doc.read_text().splitlines(), 1):
         if FENCE_RE.match(line.strip()):
             in_fence = not in_fence
-            continue
-        if in_fence:
+        else:
+            yield lineno, line, in_fence
+
+
+def heading_anchors(path: Path) -> Set[str]:
+    return {
+        github_slug(line)
+        for _, line, fenced in _lines(path)
+        if not fenced and line.startswith("#")
+    }
+
+
+def check_links(doc: Path) -> List[str]:
+    problems = []
+    for lineno, line, fenced in _lines(doc):
+        if fenced:
             continue
         for target in LINK_RE.findall(line):
             if target.startswith(("http://", "https://", "mailto:")):
@@ -159,38 +151,39 @@ def check_links(doc: Path) -> List[str]:
     return problems
 
 
-def harness_flags() -> Set[str]:
-    """Option strings of the real harness argparse parsers (the main
-    runner and the report subcommand)."""
-    sys.path.insert(0, str(REPO / "src"))
-    from repro.harness import report
-    from repro.harness.runner import build_parser
+def tool_flags() -> Dict[str, Set[str]]:
+    """Option strings of the real argparse parsers, per tool: the harness
+    runner plus its report subcommand, and this package's own CLI."""
+    from . import build_parser as verify_parser  # imports this module
 
-    flags: Set[str] = set()
-    for parser in (build_parser(), report.build_parser()):
-        for action in parser._actions:
-            flags.update(action.option_strings)
-    return flags
+    parsers = {
+        "harness": (build_parser(), report.build_parser()),
+        "verify": (verify_parser(),),
+    }
+    return {
+        tool: {opt for p in group for a in p._actions for opt in a.option_strings}
+        for tool, group in parsers.items()
+    }
+
+
+def _tool_of(line: str):
+    return next((t for t, rx in TOOL_RES.items() if rx.search(line)), None)
 
 
 def documented_flags(doc: Path) -> List[Tuple[int, str, str]]:
-    """(line, flag, context) for every flag the doc pins on the harness."""
+    """(line, flag, context) for every flag the doc pins on a tool;
+    context is the tool a fenced command invokes, or ``"inline"``."""
     found = []
-    in_fence = False
-    continuation_is_harness = False
-    for lineno, line in enumerate(doc.read_text().splitlines(), 1):
-        stripped = line.strip()
-        if FENCE_RE.match(stripped):
-            in_fence = not in_fence
-            continuation_is_harness = False
-            continue
-        if in_fence:
-            is_harness = bool(HARNESS_CMD_RE.search(line)) or continuation_is_harness
-            continuation_is_harness = is_harness and stripped.endswith("\\")
-            if is_harness:
+    continued = None  # tool of the command a trailing backslash continues
+    for lineno, line, fenced in _lines(doc):
+        if fenced:
+            tool = _tool_of(line) or continued
+            continued = tool if line.rstrip().endswith("\\") else None
+            if tool:
                 for flag in FLAG_RE.findall(line):
-                    found.append((lineno, flag, "command"))
+                    found.append((lineno, flag, tool))
         else:
+            continued = None
             for span in INLINE_CODE_RE.findall(line):
                 token = span.strip().split()[0] if span.strip() else ""
                 if FLAG_RE.fullmatch(token) and token not in FOREIGN_FLAGS:
@@ -198,28 +191,22 @@ def documented_flags(doc: Path) -> List[Tuple[int, str, str]]:
     return found
 
 
-def check_flags(doc: Path, known: Set[str]) -> List[str]:
+def check_flags(doc: Path, known: Dict[str, Set[str]]) -> List[str]:
+    """``known`` is :func:`tool_flags`: a fenced command's flags must be
+    in its own tool's parser, an inline flag in any tool's."""
+    anywhere = set().union(*known.values())
     return [
-        f"{_rel(doc)}:{lineno}: documented flag {flag!r}"
-        f" ({context}) does not exist in the harness parser"
+        f"{_rel(doc)}:{lineno}: documented flag {flag!r} ({context}) does"
+        " not exist in the argparse parser it is pinned on"
         for lineno, flag, context in documented_flags(doc)
-        if flag not in known
+        if flag not in known.get(context, anywhere)
     ]
 
 
 def scenario_vocabulary() -> Set[str]:
     """Every name the scenario subsystem declares: schema keys per
     section, check-catalog entries, shipped library scenarios."""
-    sys.path.insert(0, str(REPO / "src"))
-    from repro.scenarios import CHECKS, library_names
-    from repro.scenarios.spec import SCHEMA_SECTIONS
-
-    vocab: Set[str] = set()
-    for keys in SCHEMA_SECTIONS.values():
-        vocab.update(keys)
-    vocab.update(CHECKS)
-    vocab.update(library_names())
-    return vocab
+    return set().union(*SCHEMA_SECTIONS.values(), CHECKS, library_names())
 
 
 def check_scenario_fields(doc: Path, vocab: Set[str]) -> List[str]:
@@ -229,17 +216,12 @@ def check_scenario_fields(doc: Path, vocab: Set[str]) -> List[str]:
     something the schema actually has."""
     problems = []
     documented: Set[str] = set()
-    in_fence = False
-    for lineno, line in enumerate(doc.read_text().splitlines(), 1):
-        stripped = line.strip()
-        if FENCE_RE.match(stripped):
-            in_fence = not in_fence
-            continue
-        if in_fence:
+    for lineno, line, fenced in _lines(doc):
+        if fenced:
             continue
         for span in INLINE_CODE_RE.findall(line):
             documented.update(CODE_TOKEN_RE.findall(span))
-        row = TABLE_FIELD_RE.match(stripped)
+        row = TABLE_FIELD_RE.match(line.strip())
         if row and row.group(1) not in vocab:
             problems.append(
                 f"{_rel(doc)}:{lineno}: table documents {row.group(1)!r}"
@@ -254,31 +236,22 @@ def check_scenario_fields(doc: Path, vocab: Set[str]) -> List[str]:
     return problems
 
 
-def main() -> int:
-    known = harness_flags()
+def check_docs() -> List[str]:
+    """Every problem across :data:`DOCUMENTS` (empty == clean)."""
+    known = tool_flags()
     problems: List[str] = []
-    checked = 0
     for rel in DOCUMENTS:
         doc = REPO / rel
         if not doc.exists():
             problems.append(f"{rel}: listed in DOCUMENTS but missing")
             continue
-        checked += 1
         problems += check_links(doc)
         problems += check_flags(doc, known)
         if rel == SCENARIOS_DOC:
             problems += check_scenario_fields(doc, scenario_vocabulary())
-    if problems:
-        print(f"docs-consistency: {len(problems)} problem(s):")
-        for p in problems:
-            print(f"  {p}")
-        return 1
-    print(
-        f"docs-consistency: {checked} documents clean"
-        f" (links resolve, flags match the harness parser)"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    if not problems:
+        print(
+            f"  {len(DOCUMENTS)} documents clean (links resolve, flags match the"
+            " harness and verify parsers, scenario doc matches the schema)"
+        )
+    return problems

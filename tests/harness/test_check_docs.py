@@ -1,24 +1,21 @@
-"""The docs-consistency checker CI runs (scripts/check_docs.py).
+"""The docs gate (``python -m repro.verify docs``).
 
-The script is stdlib-only and lives outside the package, so load it by
-path.  Coverage: GitHub slug rules, anchor extraction, link checking
-(files and anchors), and the two ways a document can pin a flag on the
-harness (fenced invocations with continuations, inline code spans).
+Coverage: GitHub slug rules, anchor extraction, link checking (files
+and anchors), the two ways a document can pin a flag on one of the
+repository's tools (fenced invocations with continuations, inline code
+spans) — each held to that tool's real argparse parser — and the
+scenario-schema vocabulary.
 """
 
-import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).resolve().parents[2]
-SCRIPT = REPO / "scripts" / "check_docs.py"
+from repro.verify import docs as check_docs
 
-spec = importlib.util.spec_from_file_location("check_docs", SCRIPT)
-check_docs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(check_docs)
+REPO = Path(__file__).resolve().parents[2]
 
 
 class TestSlug:
@@ -116,12 +113,31 @@ class TestFlags:
     def test_unknown_flag_fails_check(self, tmp_path):
         doc = tmp_path / "d.md"
         doc.write_text("```\npython -m repro.harness all --bogus\n```\n")
-        problems = check_docs.check_flags(doc, {"--scale-kb"})
+        problems = check_docs.check_flags(doc, {"harness": {"--scale-kb"}})
         assert len(problems) == 1 and "--bogus" in problems[0]
 
     def test_real_parser_knows_the_real_flags(self):
-        known = check_docs.harness_flags()
+        known = check_docs.tool_flags()["harness"]
         assert {"--scale-kb", "--bench-dir", "--chaos-spec", "--batch-max"} <= known
+
+    def test_verify_flags_are_held_to_the_verify_parser(self, tmp_path):
+        """No sibling-tool whitelist: a ``repro.verify`` command or inline
+        span naming a flag the one real parser lacks fails, and a harness
+        flag on a verify command line does too."""
+        known = check_docs.tool_flags()
+        assert {"--candidate", "--no-wall", "--expect-fired"} <= known["verify"]
+        assert not check_docs.FOREIGN_FLAGS & known["verify"]
+        doc = tmp_path / "d.md"
+        doc.write_text(
+            "```bash\npython -m repro.verify regression --candidate D \\\n"
+            "    --no-wall --benchmarks-dir X --scale-kb 512\n```\n"
+            "inline `--candidate D` is real, `--update` is gone\n"
+        )
+        problems = check_docs.check_flags(doc, known)
+        assert len(problems) == 3
+        assert "--benchmarks-dir" in problems[0] and "(verify)" in problems[0]
+        assert "--scale-kb" in problems[1] and "(verify)" in problems[1]
+        assert "--update" in problems[2] and "(inline)" in problems[2]
 
 
 class TestScenarioSchema:
@@ -177,6 +193,9 @@ class TestEndToEnd:
     def test_repo_docs_are_clean(self):
         """The committed documents must pass their own checker."""
         proc = subprocess.run(
-            [sys.executable, str(SCRIPT)], capture_output=True, text=True
+            [sys.executable, "-m", "repro.verify", "docs"],
+            env={"PYTHONPATH": str(REPO / "src")},
+            capture_output=True,
+            text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr

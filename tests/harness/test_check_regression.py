@@ -1,25 +1,24 @@
-"""The bench regression gate (scripts/check_regression.py).
+"""The regression gate (``python -m repro.verify regression``).
 
-The script is stdlib-only and lives outside the package, so load it by
-path.  Coverage: the newly-added-bench seeding path — with a history
-ledger, a candidate file with no committed baseline must seed its
-ledger and pass instead of erroring, and the seeded entry must become
-the reference the next run is gated against; without ``--history-dir``
-a missing baseline stays a hard failure.
+Coverage: the newly-added-bench seeding path — with a history ledger, a
+candidate file with no committed baseline must seed its ledger and pass
+instead of erroring, and the seeded entry must become the reference the
+next run is gated against; without ``--history-dir`` a missing baseline
+stays a hard failure — and the observer-fixture half: regenerated
+fixtures are byte-compared with the committed ones by name, and the
+closing summary counts payloads and fixtures separately.
 """
 
-import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).resolve().parents[2]
-SCRIPT = REPO / "scripts" / "check_regression.py"
+from repro import verify
+from repro.report.loaders import ATTRIBUTION_SUFFIX, TELEMETRY_SUFFIX
 
-spec = importlib.util.spec_from_file_location("check_regression", SCRIPT)
-check_regression = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(check_regression)
+REPO = Path(__file__).resolve().parents[2]
 
 
 def _payload(bench="serve", events=1200, scale=64):
@@ -49,12 +48,13 @@ def _write(directory: Path, name: str, payload: dict):
 
 
 def _run(base, cand, hist=None, files=None):
-    argv = ["--baseline", str(base), "--candidate", str(cand), "--no-wall"]
+    argv = ["regression", "--baseline", str(base), "--candidate", str(cand)]
+    argv.append("--no-wall")
     if hist is not None:
         argv += ["--history-dir", str(hist)]
     if files:
         argv += ["--files", *files]
-    return check_regression.main(argv)
+    return verify.main(argv)
 
 
 class TestNewBenchSeeding:
@@ -119,3 +119,66 @@ class TestNewBenchSeeding:
         base, cand, hist = tree
         _write(base, "BENCH_serve.json", _payload())
         assert _run(base, cand, hist, files=["BENCH_serve.json"]) == 1
+
+
+class TestObserverFixtures:
+    """Regenerated ``*.attribution.json`` / ``*.telemetry.json`` must equal
+    the committed fixture of the same name byte for byte."""
+
+    @pytest.fixture
+    def record(self, tree):
+        base, cand, _ = tree
+        _write(base, "BENCH_serve.json", _payload())
+        _write(cand, "BENCH_serve.json", _payload())
+        for kind, suffix in (
+            ("attribution", ATTRIBUTION_SUFFIX),
+            ("telemetry", TELEMETRY_SUFFIX),
+        ):
+            (base / kind).mkdir()
+            (cand / kind).mkdir()
+            name = "serve_DAS_x1" + suffix
+            shutil.copy(REPO / "benchmarks" / kind / name, base / kind / name)
+            shutil.copy(REPO / "benchmarks" / kind / name, cand / kind / name)
+        return base, cand
+
+    def test_identical_regeneration_passes(self, record, capsys):
+        base, cand = record
+        assert _run(base, cand) == 0
+        out = capsys.readouterr().out
+        assert "1/1 BENCH payload(s) match" in out
+        assert "2 regenerated fixture(s) byte-compared, 0 fixture problem(s)" in out
+
+    @pytest.mark.parametrize(
+        "kind, suffix",
+        [("attribution", ATTRIBUTION_SUFFIX), ("telemetry", TELEMETRY_SUFFIX)],
+    )
+    def test_tampered_fixture_copy_fails_by_name(self, record, capsys, kind, suffix):
+        base, cand = record
+        name = "serve_DAS_x1" + suffix
+        path = cand / kind / name
+        # Still valid JSON, still the same document — only the bytes moved.
+        path.write_text(path.read_text().replace("\n", "\n ", 1))
+        assert _run(base, cand) == 1
+        out = capsys.readouterr().out
+        assert f"{name}: regenerated fixture" in out
+        # A fixture failure is not a BENCH payload failure.
+        assert "1/1 BENCH payload(s) match" in out
+        assert "1 fixture problem(s)" in out
+
+    def test_regenerated_cell_without_a_committed_twin_is_not_compared(
+        self, record, capsys
+    ):
+        base, cand = record
+        (cand / "attribution" / ("new_cell" + ATTRIBUTION_SUFFIX)).write_text("{}")
+        assert _run(base, cand) == 0
+        assert "2 regenerated fixture(s) byte-compared" in capsys.readouterr().out
+
+    def test_committed_fixture_below_the_tracer_bounds_fails(self, record, capsys):
+        base, cand = record
+        name = "serve_DAS_x1" + ATTRIBUTION_SUFFIX
+        for root in (base, cand):  # byte-equal, but no longer acceptable
+            doc = json.loads((root / "attribution" / name).read_text())
+            doc["min_coverage"] = 0.5
+            (root / "attribution" / name).write_text(json.dumps(doc))
+        assert _run(base, cand) == 1
+        assert "span coverage floor 0.5" in capsys.readouterr().out

@@ -1,7 +1,7 @@
 """Tier-1 pin on the committed record: one row per restructured family.
 
 ``benchmarks/BENCH_*.json`` is regenerated and gated in CI
-(``scripts/check_regression.py``), which takes minutes.  This is the
+(``python -m repro.verify regression``), which takes minutes.  This is the
 seconds-scale version: one cheap cell per serving family is built
 straight from its spec, run at full scale, and its row must equal the
 committed one — so a change to how a cell is materialised (preset, RNG
@@ -10,7 +10,6 @@ first.  Also pins the layering that keeps the cell builder below the
 harness.
 """
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -18,13 +17,14 @@ from pathlib import Path
 import pytest
 
 from repro.harness import autoscale_bench, chaos_bench, serve_bench
+from repro.report.loaders import read_json
 from repro.scenarios import run_scenario
 
 REPO = Path(__file__).resolve().parents[2]
 
 
 def committed_row(filename, experiment, **match):
-    doc = json.loads((REPO / "benchmarks" / filename).read_text())
+    doc = read_json(REPO / "benchmarks" / filename)
     assert doc["scale_kb"] == 1024
     (row,) = [
         r

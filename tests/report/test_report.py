@@ -5,8 +5,8 @@ on, largest-remainder apportionment in the flame renderer (bars always
 sum to exactly the requested width), request-class grouping, a golden
 end-to-end emission from a compact fixture tree, determinism of the
 emitter, and the committed docs/RESULTS.md staying in sync with the
-committed measurement record (the same gate `scripts/check_results.py`
-runs in CI).
+committed measurement record (the same gate `python -m repro.verify
+results` runs in CI).
 """
 
 import json
@@ -262,7 +262,7 @@ GOLDEN = """\
 
 <!-- GENERATED FILE — do not edit by hand.
      Regenerate:  PYTHONPATH=src python -m repro.harness report
-     Drift gate:  python scripts/check_results.py  (CI job: results-smoke) -->
+     Drift gate:  PYTHONPATH=src python -m repro.verify results  (CI job: record) -->
 
 The measured state of the repository, rendered from its committed
 measurement record and nothing else: the [`benchmarks/`](../benchmarks)
@@ -305,7 +305,7 @@ Notes: fixture
 ## Run-over-run trends
 
 One row per run recorded by
-[`scripts/check_regression.py --history-dir`](BENCHMARKS.md#the-history-ledger)
+[`python -m repro.verify regression --history-dir`](BENCHMARKS.md#the-history-ledger)
 (append order; a new entry lands on every gated regeneration,
 so the trajectory grows PR over PR).  `events dispatched` must
 be identical between passing runs at the same scale; the wall
@@ -437,7 +437,7 @@ class TestLoaders:
 
 class TestCommittedReport:
     """The repository's own RESULTS.md must match its inputs — the same
-    byte-for-byte gate CI runs (scripts/check_results.py)."""
+    byte-for-byte gate CI runs (``python -m repro.verify results``)."""
 
     def test_committed_results_in_sync(self):
         committed = (REPO / "docs" / "RESULTS.md").read_text(encoding="utf-8")

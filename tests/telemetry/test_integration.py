@@ -9,7 +9,6 @@ scenario ``alert_*`` checks, and the committed fixtures under
 covered with its tracing twin in ``tests/harness/test_replays.py``.)
 """
 
-import importlib.util
 import json
 from functools import partial
 from pathlib import Path
@@ -23,15 +22,10 @@ from repro.scenarios.checks import evaluate_check
 from repro.scenarios.spec import CheckSpec
 from repro.sim.core import events_dispatched_total, untallied
 from repro.telemetry import TelemetryConfig
+from repro.verify import artifacts
 
 REPO = Path(__file__).resolve().parents[2]
 FIXTURES = REPO / "benchmarks" / "telemetry"
-
-_spec = importlib.util.spec_from_file_location(
-    "check_telemetry", REPO / "scripts" / "check_telemetry.py"
-)
-check_telemetry = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_telemetry)
 
 DURATION = 1.5
 CELL = serve_spec("DAS", 1.0, duration=DURATION)
@@ -135,18 +129,18 @@ class TestCommittedFixtures:
         paths = sorted(FIXTURES.glob("*.telemetry.json"))
         assert len(paths) == 4
         for path in paths:
-            problems, _, _ = check_telemetry.check_telemetry_file(path)
+            problems, _, _ = artifacts.check_telemetry_file(path)
             assert problems == [], (path.name, problems)
 
     def test_chaos_fixture_records_the_burn_lifecycle(self):
         path = FIXTURES / "chaos_crash_NAS.telemetry.json"
-        _, fired, resolved = check_telemetry.check_telemetry_file(path)
+        _, fired, resolved = artifacts.check_telemetry_file(path)
         assert {"availability-burn", "latency-burn"} <= fired
         assert {"availability-burn", "latency-burn"} <= resolved
 
     def test_healthy_serve_fixture_stays_silent(self):
         path = FIXTURES / "serve_DAS_x1.telemetry.json"
-        _, fired, _ = check_telemetry.check_telemetry_file(path)
+        _, fired, _ = artifacts.check_telemetry_file(path)
         assert fired == set()
 
     def test_validator_rejects_a_tampered_ledger(self, tmp_path):
@@ -159,8 +153,27 @@ class TestCommittedFixtures:
                 entry["resolved_at"] = entry["fired_at"]  # resolve <= fire
         bad = tmp_path / "bad.telemetry.json"
         bad.write_text(json.dumps(doc))
-        problems, _, _ = check_telemetry.check_telemetry_file(bad)
+        problems, _, _ = artifacts.check_telemetry_file(bad)
         assert problems
+
+    def test_validator_rejects_a_wrong_schema_marker(self, tmp_path):
+        doc = json.loads((FIXTURES / "serve_DAS_x1.telemetry.json").read_text())
+        doc["schema"] = "repro.telemetry/0"
+        (tmp_path / "old.telemetry.json").write_text(json.dumps(doc))
+        problems = artifacts.check_telemetry(tmp_path)
+        assert len(problems) == 1
+        assert "old.telemetry.json: schema is 'repro.telemetry/0'" in problems[0]
+
+    def test_gate_pins_declared_alert_lifecycles(self):
+        assert artifacts.check_telemetry(
+            FIXTURES,
+            expect_fired=["availability-burn"],
+            expect_resolved=["latency-burn"],
+        ) == []
+        problems = artifacts.check_telemetry(
+            FIXTURES, expect_fired=["no-such-rule"]
+        )
+        assert len(problems) == 1 and "'no-such-rule' to have fired" in problems[0]
 
 
 class TestTimelineRendering:
