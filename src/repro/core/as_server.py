@@ -139,13 +139,18 @@ class ASServer:
             first, count = local.run_elem_range(run)
             if count == 0:
                 continue
-            data = yield local.read_elems(first, count)
-            yield self.node.cpu.run_kernel(kernel.name, count)
-            part = kernel.partial(np.asarray(data, dtype=np.float64))
+            part = yield from self._partial_of_run(kernel, local, first, count)
             acc = kernel.combine(acc, part) if have else part
             have = True
             elements += count
         return {"partial": acc, "elements": elements, "server": self.name}
+
+    def _partial_of_run(self, kernel, local: LocalFile, first: int, count: int):
+        """One run's partial result.  A generator of its own so that the
+        run's elements die at its return, not while the next run is read."""
+        data = yield local.read_elems(first, count)
+        yield self.node.cpu.run_kernel(kernel.name, count)
+        return kernel.partial(np.asarray(data, dtype=np.float64))
 
     # -- execution ------------------------------------------------------------------
     def execute(self, kernel_name: str, file: str, output: str, replicate_output: bool):
@@ -177,51 +182,12 @@ class ASServer:
         # (standard request overlap; without it every run would stall a
         # full fetch round trip).
         slots = Resource(self.env, capacity=self.max_inflight_runs)
-        jobs = []
-        for run in local.primary_runs():
-            first, count = local.run_elem_range(run)
-            if count == 0:
-                continue
-            jobs.append(
-                self.env.process(
-                    self._run_one(
-                        kernel,
-                        kernel_name,
-                        meta,
-                        out_meta,
-                        first,
-                        count,
-                        rb,
-                        ra,
-                        width,
-                        replicate_output,
-                        slots,
-                        stats,
-                    ),
-                    name=f"as-run:{self.name}:{first}",
-                )
-            )
-        for job in contain_failures(jobs):
-            yield job
-        return stats
 
-    def _run_one(
-        self,
-        kernel,
-        kernel_name: str,
-        meta: FileMeta,
-        out_meta: FileMeta,
-        first: int,
-        count: int,
-        rb: int,
-        ra: int,
-        width: int,
-        replicate_output: bool,
-        slots: Resource,
-        stats: ServerExecStats,
-    ):
-        with slots.request() as slot:
-            yield slot
+        def compute(first: int, count: int):
+            """Gather one run's window and apply the kernel; value is the
+            output run.  A generator of its own so that the window (run
+            plus halo) dies at its return instead of staying pinned by
+            ``run_one`` while the output is written back."""
             win_lo, win_hi = window_bounds(first, count, rb, ra, meta.n_elements)
             raw = yield from self._gather_window(
                 meta,
@@ -230,23 +196,38 @@ class ASServer:
                 stats,
             )
             window = Window(
-                data=np.ascontiguousarray(raw).view(meta.dtype).astype(
-                    np.float64, copy=False
-                ),
+                data=raw.view(meta.dtype).astype(np.float64, copy=False),
                 lo=win_lo,
                 first=first,
                 end=first + count,
                 width=width,
                 n_elements=meta.n_elements,
             )
-            stats.compute_seconds += yield self.node.cpu.run_kernel(kernel_name, count)
-            result = kernel.apply_window(window).astype(out_meta.dtype, copy=False)
-            yield from self._write_output(
-                out_meta, first, result, replicate_output, stats
-            )
-            stats.runs += 1
-            stats.elements += count
-        return None
+            yield self.node.cpu.run_kernel(kernel_name, count)
+            return kernel.apply_window(window).astype(out_meta.dtype, copy=False)
+
+        def run_one(first: int, count: int):
+            with slots.request() as slot:
+                yield slot
+                result = yield from compute(first, count)
+                yield from self._write_output(
+                    out_meta, first, result, replicate_output, stats
+                )
+                stats.runs += 1
+                stats.elements += count
+
+        jobs = []
+        for run in local.primary_runs():
+            first, count = local.run_elem_range(run)
+            if count:
+                jobs.append(
+                    self.env.process(
+                        run_one(first, count), name=f"as-run:{self.name}:{first}"
+                    )
+                )
+        for job in contain_failures(jobs):
+            yield job
+        return stats
 
     # -- window gathering ----------------------------------------------------------------
     def _gather_window(self, meta: FileMeta, offset: int, length: int, stats):
@@ -256,14 +237,14 @@ class ASServer:
         out = np.empty(length, dtype=np.uint8)
 
         local_pieces: List[ReadPiece] = []
-        local_spans: List[tuple] = []  # (buffer pos, length)
+        local_positions: List[int] = []  # where each piece lands in ``out``
         remote_strips: Dict[str, Dict[int, List[tuple]]] = {}
 
         for e in layout.map_extent(offset, length):
             pos = e.offset - offset
             if self.ds.has_strip(meta.name, e.strip):
                 local_pieces.append(ReadPiece(e.strip, e.in_strip, e.length))
-                local_spans.append((pos, e.length))
+                local_positions.append(pos)
             else:
                 owner = layout.primary_server(e.strip)
                 remote_strips.setdefault(owner, {}).setdefault(e.strip, []).append(
@@ -272,10 +253,9 @@ class ASServer:
 
         jobs = []
         if local_pieces:
+            # Gathered in place: strip -> window buffer, one copy.
             jobs.append(
-                self.env.process(
-                    self._local_job(meta.name, local_pieces, local_spans, out)
-                )
+                self.ds.read_pieces(meta.name, local_pieces, out, local_positions)
             )
         for owner, strips in remote_strips.items():
             jobs.append(self.env.process(self._remote_job(meta, owner, strips, out, stats)))
@@ -285,14 +265,6 @@ class ASServer:
         stats.halo_bytes_local += local_bytes
         self.monitors.counter("as.halo_bytes_local").add(local_bytes)
         return out
-
-    def _local_job(self, file: str, pieces: List[ReadPiece], spans, out: np.ndarray):
-        data = yield from self.ds.read_pieces_gen(file, pieces)
-        cursor = 0
-        for (pos, ln) in spans:
-            out[pos : pos + ln] = data[cursor : cursor + ln]
-            cursor += ln
-        return None
 
     def _remote_job(self, meta: FileMeta, owner: str, strips, out: np.ndarray, stats):
         """Fetch the needed parts of ``strips`` from ``owner``."""
@@ -362,7 +334,6 @@ class ASServer:
         jobs = []
         if local_pieces:
             jobs.append(self.ds.write_pieces(out_meta.name, local_pieces))
-            stats.output_bytes_local += sum(p.data.nbytes for p in local_pieces)
         for server, pieces in remote.items():
             payload_bytes = sum(p.data.nbytes for p in pieces)
             jobs.append(
@@ -374,7 +345,6 @@ class ASServer:
                     tag=TAG_PFS,
                 )
             )
-            stats.output_bytes_remote += payload_bytes
         for job in contain_failures(jobs):
             yield job
         return None

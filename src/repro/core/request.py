@@ -52,9 +52,6 @@ class ServerExecStats:
     elements: int = 0
     halo_bytes_remote: int = 0
     halo_bytes_local: int = 0
-    output_bytes_local: int = 0
-    output_bytes_remote: int = 0
-    compute_seconds: float = 0.0
 
 
 @dataclass

@@ -142,6 +142,7 @@ class Collectives:
                     acc = combine(acc, msg.payload)
                 else:
                     acc, have_acc = msg.payload, True
+                del msg  # a folded part must not stay pinned across the next wait
             return acc
 
         return self.env.process(proc(), name=f"reduce:{root}")

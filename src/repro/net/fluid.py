@@ -161,15 +161,6 @@ class FluidScheduler:
         return done
 
     # -- fluid mechanics ------------------------------------------------------------
-    def _advance(self) -> None:
-        """Drain every flow at its current rate up to `now`."""
-        now = self.env.now
-        dt = now - self._last_advance
-        if dt > 0:
-            for flow in self._flows:
-                flow.remaining -= flow.rate * dt
-        self._last_advance = now
-
     def _recompute(self) -> None:
         """Progressive filling: repeatedly saturate the tightest link.
 
@@ -183,20 +174,20 @@ class FluidScheduler:
         per-link subtraction sequence are exactly those of the
         dict-copy formulation, so rates match it bit for bit.
 
-        The pre-recompute drain (:meth:`_advance`) is fused into the
-        assignment loop: every live flow is assigned exactly once per
-        fill, so subtracting ``old_rate * dt`` right before the new
-        rate lands performs the same independent per-flow update the
-        separate drain pass did — callers need not `_advance` first.
+        Draining every flow at its old rate up to ``now`` is fused into
+        the assignment loop: every live flow is assigned exactly once
+        per fill, so subtracting ``old_rate * dt`` right before the new
+        rate lands is the same independent per-flow update a separate
+        drain pass would make — callers need not drain first.
         """
         flows_dict = self._flows
         now = self.env.now
         dt = now - self._last_advance
         self._last_advance = now
         epoch = self._epoch = self._epoch + 1
-        # Links in first-seen order over flows (same order _active_links
-        # produced).  The order is cached across recomputes: starts kept
-        # it current by appending; only removals force this rebuild.
+        # Links in first-seen order over flows.  The order is cached
+        # across recomputes: starts kept it current by appending; only
+        # removals force this rebuild.
         order = self._order
         if self._order_stale:
             for link in order:
@@ -294,14 +285,6 @@ class FluidScheduler:
                     link.ncount -= 1
         self._next_delay = best
 
-    def _active_links(self) -> List[FluidLink]:
-        """Links currently carrying at least one flow (debug/tests)."""
-        seen: Dict[FluidLink, None] = {}
-        for flow in self._flows:
-            for link in flow.links:
-                seen[link] = None
-        return list(seen)
-
     def _next_completion(self) -> float:
         """Seconds until the earliest flow drains at current rates."""
         best = float("inf")
@@ -344,8 +327,8 @@ class FluidScheduler:
     def _on_timer(self, _event: Event) -> None:
         """Completion timer fired: drain, complete finished flows.
 
-        The drain and the finished scan are one fused pass (same
-        per-flow subtraction :meth:`_advance` performs).
+        The drain (``remaining -= rate * dt`` per flow) and the finished
+        scan are one fused pass.
         """
         self._timer = None
         now = self.env.now

@@ -94,14 +94,23 @@ class Mailbox(FilterStore):
 
 
 def _receive_loop(owner_ref, tag: str, label: str):
-    """The request loop of :meth:`Transport.serve`."""
+    """The request loop of :meth:`Transport.serve`.
+
+    Suspended for its whole life, its frame must own neither its server
+    nor the request it handed on last (a write request pins the sender's
+    whole output run): both are only ever arguments of the two helpers,
+    the server dereferenced after the wait, not before it.
+    """
     while True:
-        owner = owner_ref()
-        get = owner.transport.recv(owner.name, tag=tag)
-        del owner  # a suspended loop must not own its server
-        msg = yield get
-        owner = owner_ref()
-        owner.env.process(owner._handle(msg), name=f"{label}-handle:{owner.name}")
+        _start_handler((yield _next_request(owner_ref(), tag)), owner_ref(), label)
+
+
+def _next_request(owner, tag: str):
+    return owner.transport.recv(owner.name, tag=tag)
+
+
+def _start_handler(msg, owner, label: str) -> None:
+    owner.env.process(owner._handle(msg), name=f"{label}-handle:{owner.name}")
 
 
 class Transport:

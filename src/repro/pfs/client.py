@@ -63,8 +63,21 @@ class PFSClient:
         shape: Optional[Tuple[int, int]] = None,
         **attrs,
     ) -> FileMeta:
-        """Create a file and place its strips (and replicas) instantly."""
+        """Create a file and place its strips (and replicas) instantly.
+
+        The file system adopts a C-contiguous ``array`` instead of
+        copying it: every strip and replica is a read-only view of that
+        one buffer, and ``array`` itself is flagged read-only, so writing
+        through it afterwards raises instead of changing stored bytes.
+        Timed writes never reach it (the data servers copy a strip before
+        its first write).  An input that needs conversion, or that is a
+        view of an array someone can still write, is copied and left as
+        it was.
+        """
         data = np.ascontiguousarray(array)
+        if isinstance(data.base, np.ndarray) and data.base.flags.writeable:
+            data = data.copy()
+        data.flags.writeable = False
         raw = data.view(np.uint8).reshape(-1)
         if layout.strip_size % data.dtype.itemsize != 0:
             raise LayoutError(

@@ -10,6 +10,7 @@ components (the active-storage helper reads its strips through
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -113,8 +114,18 @@ class DataServer:
 
     # -- strip store -------------------------------------------------------------
     def preload(self, file: str, strip: int, data: np.ndarray) -> None:
-        """Place strip bytes instantly (experiment setup, not timed)."""
-        self._strips[(file, strip)] = np.asarray(data, dtype=np.uint8).copy()
+        """Place strip bytes instantly (experiment setup, not timed).
+
+        ``data`` is adopted, not copied: the strip is a read-only view of
+        the caller's ``uint8`` buffer (any other input is converted, which
+        copies), so the caller must not write to that buffer afterwards —
+        :meth:`PFSClient.ingest` flags its caller's array read-only.  The
+        first timed write replaces the view with a private copy
+        (:meth:`_strip_array`).
+        """
+        adopted = np.asarray(data, dtype=np.uint8).view()
+        adopted.flags.writeable = False
+        self._strips[(file, strip)] = adopted
 
     def has_strip(self, file: str, strip: int) -> bool:
         return (file, strip) in self._strips
@@ -148,29 +159,45 @@ class DataServer:
     def stored_bytes(self) -> int:
         return sum(a.nbytes for a in self._strips.values())
 
+    def _strip_length(self, file: str, strip: int) -> int:
+        """Byte length of a strip, held or still to be created."""
+        arr = self._strips.get((file, strip))
+        if arr is not None:
+            return arr.nbytes
+        meta = self.metadata.lookup(file)
+        length = meta.layout.strip_extent_bytes(strip, meta.size)
+        if length <= 0:
+            raise PFSError(f"strip {strip} is beyond EOF of {file!r}")
+        return length
+
     def _strip_array(self, file: str, strip: int) -> np.ndarray:
-        """The strip's byte array, allocating zeros on first write."""
+        """The strip's byte array for writing: private to this server.
+
+        A strip not held yet starts as zeros; an adopted one (read-only,
+        see :meth:`preload`) is copied first, so a write never reaches
+        the buffer it was ingested from.
+        """
         key = (file, strip)
         arr = self._strips.get(key)
         if arr is None:
-            meta = self.metadata.lookup(file)
-            length = meta.layout.strip_extent_bytes(strip, meta.size)
-            if length <= 0:
-                raise PFSError(f"strip {strip} is beyond EOF of {file!r}")
-            arr = np.zeros(length, dtype=np.uint8)
-            self._strips[key] = arr
+            arr = self._strips[key] = np.zeros(
+                self._strip_length(file, strip), dtype=np.uint8
+            )
+        elif not arr.flags.writeable:
+            arr = self._strips[key] = arr.copy()
         return arr
 
     # -- timed local I/O (direct path for co-located components) ----------------
-    def read_pieces(self, file: str, pieces: List[ReadPiece]):
-        """Process: disk-read the pieces; value is the concatenated bytes."""
-        return self.env.process(self._read_pieces(file, pieces), name=f"dsr:{self.name}")
+    def read_pieces(self, file: str, pieces: List[ReadPiece], out=None, positions=None):
+        """Process: disk-read the pieces; value is the concatenated bytes.
 
-    def read_pieces_gen(self, file: str, pieces: List[ReadPiece]):
-        """Generator form of :meth:`read_pieces` for ``yield from``."""
-        return self._read_pieces(file, pieces)
+        Given ``out`` and one byte position per piece, the pieces are
+        instead gathered in place: strip to ``out`` in one copy."""
+        return self.env.process(
+            self._read_pieces(file, pieces, out, positions), name=f"dsr:{self.name}"
+        )
 
-    def _read_pieces(self, file: str, pieces: List[ReadPiece]):
+    def _read_pieces(self, file: str, pieces: List[ReadPiece], out=None, positions=None):
         total = sum(p.length for p in pieces)
         assert self.node.disk is not None
         # Page-cache model: bytes in cached strips skip the disk.
@@ -187,9 +214,10 @@ class DataServer:
             self.monitors.counter(f"pfs.cache_hit_bytes.{self.name}").add(total - cold)
         if cold:
             yield self.node.disk.read(cold)
-        out = np.empty(total, dtype=np.uint8)
-        pos = 0
-        for p in pieces:
+        if out is None:
+            out = np.empty(total, dtype=np.uint8)
+            positions = accumulate((p.length for p in pieces), initial=0)
+        for p, pos in zip(pieces, positions):
             strip = self.strip_bytes(file, p.strip)
             if p.in_strip + p.length > strip.nbytes:
                 raise PFSError(
@@ -197,7 +225,6 @@ class DataServer:
                     f" ({p.in_strip}+{p.length} > {strip.nbytes})"
                 )
             out[pos : pos + p.length] = strip[p.in_strip : p.in_strip + p.length]
-            pos += p.length
         return out
 
     def write_pieces(self, file: str, pieces: List[WritePiece]):
@@ -208,20 +235,25 @@ class DataServer:
         total = sum(p.data.nbytes for p in pieces)
         assert self.node.disk is not None
         yield self.node.disk.write(total)
-        if self.cache.enabled:
-            # Write-through: freshly written strips are memory-resident.
-            for p in pieces:
-                arr = self._strip_array(file, p.strip)
-                self.cache.insert((file, p.strip), arr.nbytes)
         for p in pieces:
-            arr = self._strip_array(file, p.strip)
             data = np.asarray(p.data, dtype=np.uint8)
-            if p.in_strip + data.nbytes > arr.nbytes:
+            length = self._strip_length(file, p.strip)
+            if p.in_strip + data.nbytes > length:
                 raise PFSError(
                     f"write past strip end: strip {p.strip} of {file!r}"
-                    f" ({p.in_strip}+{data.nbytes} > {arr.nbytes})"
+                    f" ({p.in_strip}+{data.nbytes} > {length})"
                 )
-            arr[p.in_strip : p.in_strip + data.nbytes] = data
+            if data.nbytes == length:
+                # The piece is the whole strip: one copy of it is the
+                # server's private array (no zeros or old bytes first).
+                self._strips[(file, p.strip)] = data.copy()
+            else:
+                self._strip_array(file, p.strip)[
+                    p.in_strip : p.in_strip + data.nbytes
+                ] = data
+            if self.cache.enabled:
+                # Write-through: freshly written strips are memory-resident.
+                self.cache.insert((file, p.strip), length)
         return total
 
     # -- network request service ----------------------------------------------------

@@ -77,36 +77,69 @@ class TraditionalScheme(Scheme):
         width = meta.width if meta.shape is not None else 1
         rb = pattern.reach_before(width)
         ra = pattern.reach_after(width)
-        n = meta.n_elements
+        span = options.get("trace_span") or NULL_SPAN
+        tracer = self.cluster.monitors.tracer
+
+        def compute(node, client, first: int, count: int):
+            """Read the share's window and apply the kernel; value is the
+            output share.  A generator of its own so that the window dies
+            at its return instead of staying pinned by ``worker`` while
+            the output is written back."""
+            win_lo, win_hi = window_bounds(first, count, rb, ra, meta.n_elements)
+            rspan = NULL_SPAN
+            if span:
+                rspan = tracer.begin(
+                    f"read:{node.name}",
+                    cat="read",
+                    parent=span,
+                    node=node.name,
+                    bytes=(win_hi - win_lo) * meta.element_size,
+                )
+            raw = yield client.read(
+                meta.name,
+                win_lo * meta.element_size,
+                (win_hi - win_lo) * meta.element_size,
+                span=rspan,
+            )
+            rspan.finish()
+            window = Window(
+                data=raw.view(meta.dtype).astype(np.float64, copy=False),
+                lo=win_lo,
+                first=first,
+                end=first + count,
+                width=width,
+                n_elements=meta.n_elements,
+            )
+            cspan = NULL_SPAN
+            if span:
+                cspan = tracer.begin(
+                    f"compute:{node.name}",
+                    cat="compute",
+                    parent=span,
+                    node=node.name,
+                    kernel=kernel.name,
+                    elements=count,
+                )
+            yield node.cpu.run_kernel(kernel.name, count)
+            cspan.finish()
+            return kernel.apply_window(window)
+
+        def worker(node, first: int, count: int):
+            client = self.pfs.client(node.name)
+            out = yield from compute(node, client, first, count)
+            results[node.name] = (first, out)
+            if write_back:
+                yield client.write_elems(output_file, first, out)
 
         # Even contiguous partition over the compute nodes.
-        span = options.get("trace_span") or NULL_SPAN
-        shares = self._partition(n, len(compute_nodes))
-        workers = []
-        for node, (first, count) in zip(compute_nodes, shares):
-            if count == 0:
-                continue
-            workers.append(
-                self.env.process(
-                    self._worker(
-                        node,
-                        kernel,
-                        meta,
-                        output_file,
-                        first,
-                        count,
-                        rb,
-                        ra,
-                        width,
-                        write_back,
-                        results,
-                        span,
-                    ),
-                    name=f"ts-worker:{node.name}",
-                )
-            )
-        for worker in contain_failures(workers):
-            yield worker
+        shares = self._partition(meta.n_elements, len(compute_nodes))
+        workers = [
+            self.env.process(worker(node, first, count), name=f"ts-worker:{node.name}")
+            for node, (first, count) in zip(compute_nodes, shares)
+            if count
+        ]
+        for job in contain_failures(workers):
+            yield job
 
         return self._result(
             operator,
@@ -127,63 +160,3 @@ class TraditionalScheme(Scheme):
             shares.append((first, count))
             first += count
         return shares
-
-    def _worker(
-        self,
-        node,
-        kernel,
-        meta,
-        output_file,
-        first,
-        count,
-        rb,
-        ra,
-        width,
-        write_back,
-        results,
-        span=NULL_SPAN,
-    ):
-        client = self.pfs.client(node.name)
-        win_lo, win_hi = window_bounds(first, count, rb, ra, meta.n_elements)
-        tracer = self.cluster.monitors.tracer
-        rspan = NULL_SPAN
-        if span:
-            rspan = tracer.begin(
-                f"read:{node.name}",
-                cat="read",
-                parent=span,
-                node=node.name,
-                bytes=(win_hi - win_lo) * meta.element_size,
-            )
-        raw = yield client.read(
-            meta.name,
-            win_lo * meta.element_size,
-            (win_hi - win_lo) * meta.element_size,
-            span=rspan,
-        )
-        rspan.finish()
-        window = Window(
-            data=raw.view(meta.dtype).astype(np.float64, copy=False),
-            lo=win_lo,
-            first=first,
-            end=first + count,
-            width=width,
-            n_elements=meta.n_elements,
-        )
-        cspan = NULL_SPAN
-        if span:
-            cspan = tracer.begin(
-                f"compute:{node.name}",
-                cat="compute",
-                parent=span,
-                node=node.name,
-                kernel=kernel.name,
-                elements=count,
-            )
-        yield node.cpu.run_kernel(kernel.name, count)
-        cspan.finish()
-        out = kernel.apply_window(window)
-        results[node.name] = (first, out)
-        if write_back:
-            yield client.write_elems(output_file, first, out)
-        return None

@@ -72,11 +72,12 @@ def events_dispatched_total() -> int:
 def untallied():
     """Exclude a region's events from the process-wide dispatch tally.
 
-    Diagnostic replays (a bench cell re-run with the telemetry sampler
-    attached to prove non-perturbation) dispatch real events, but they
-    are verification overhead, not bench workload — counting them would
-    make the recorded ``events_dispatched_total`` depend on which
-    diagnostic flags were passed.  The tally is restored on exit;
+    Diagnostic replays (a bench cell re-run with the tracer or the
+    telemetry sampler attached to prove non-perturbation: both observer
+    replays of ``harness.replays`` run under this) dispatch real events,
+    but they are verification overhead, not bench workload — counting
+    them would make the recorded ``events_dispatched_total`` depend on
+    which diagnostic flags were passed.  The tally is restored on exit;
     per-environment ``dispatched`` counts are untouched, so the replay
     itself can still be measured."""
     global _dispatched_total

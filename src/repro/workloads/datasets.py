@@ -72,7 +72,9 @@ class DatasetSpec:
     def generate(self) -> np.ndarray:
         """The spec's raster, synthesised once per process: every cell of
         a grid asks for the same few specs.  Memoised per (frozen) spec
-        and **read-only**; ingest copies (``DataServer.preload``)."""
+        and **read-only**; ingest adopts it without copying (every cell's
+        strips are views of this one array) and the data servers copy a
+        strip before its first write (``DataServer._strip_array``)."""
         rng = np.random.default_rng(self.seed)
         if self.kind == "dem":
             data = fractal_dem(self.rows, self.cols, rng=rng)
