@@ -1,19 +1,18 @@
 """One serving cell of the fleet: today's full serve stack, no workload.
 
-A :class:`Cell` wires the exact stack :class:`~repro.serve.ServeSystem`
-builds — metric registry, SLO board, load-aware executor, optional
-fault injector with membership-change cache invalidation, DWRR fair
-scheduler, optional autoscale controller — over a cell-private cluster
-and PFS that share the *fleet's* simulation clock.  What a cell does
-**not** own is arrival generation: requests reach it only through the
-:class:`~repro.fleet.router.FleetRouter`'s ``submit``, so placement is
-a fleet decision, not a cell one.
+A :class:`Cell` *is* the :class:`~repro.serve.service.ServingStack` a
+:class:`~repro.serve.ServeSystem` has — metric registry, SLO board,
+load-aware executor, optional fault injector with membership-change
+cache invalidation, DWRR fair scheduler, optional autoscale controller —
+over a cell-private cluster and PFS that share the *fleet's* simulation
+clock.  What a cell does **not** own is arrival generation: requests
+reach it only through the :class:`~repro.fleet.router.FleetRouter`'s
+``submit``, so placement is a fleet decision, not a cell one.
 
-Cells default to **sharded admission slots**: the scheduler's
-concurrency pool is split per primary storage server of the request's
-file (see ``FairScheduler(slot_groups=...)``), so one hot file
-saturating its own node's slots cannot starve dispatches bound for the
-cell's other nodes.
+Cells run **sharded admission slots**: the scheduler's concurrency pool
+is split per primary storage server of the request's file (the
+``slot_groups`` it hands ``FairScheduler``), so one hot file saturating its
+own node's slots cannot starve dispatches bound for the cell's other nodes.
 """
 
 from __future__ import annotations
@@ -21,22 +20,16 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..errors import FleetError
-from ..faults import FaultInjector
 from ..kernels.base import KernelRegistry
-from ..metrics.autoscale import autoscale_summary
-from ..metrics.faults import fault_summary
-from ..metrics.registry import MetricRegistry
 from ..pfs.filesystem import ParallelFileSystem
-from ..serve.autoscale import AutoscaleController
-from ..serve.dispatch import SCHEMES, LoadAwareExecutor
-from ..serve.scheduler import FairScheduler
-from ..serve.service import ServeConfig
-from ..serve.slo import SLOBoard
+from ..serve.service import ServeConfig, ServingStack
 from ..serve.workload import ServeRequest
 
 
-class Cell:
+class Cell(ServingStack):
     """One federated serving cell on the shared fleet clock."""
+
+    error = FleetError
 
     def __init__(
         self,
@@ -44,77 +37,18 @@ class Cell:
         pfs: ParallelFileSystem,
         config: ServeConfig,
         registry: Optional[KernelRegistry] = None,
-        shard_slots: bool = True,
     ):
-        if config.scheme not in SCHEMES:
-            raise FleetError(f"unknown scheme {config.scheme!r}")
-        if not config.tenants:
-            raise FleetError(f"cell {name!r} needs at least one tenant")
+        metadata = pfs.metadata
+
+        def slot_groups(req: ServeRequest) -> str:
+            # Admission-slot group: the file's primary storage server
+            # under the *current* layout (a resize or failover re-homes
+            # the group with the data).
+            return metadata.lookup(req.file).layout.servers[0]
+
+        super().__init__(pfs, config, registry, slot_groups=slot_groups)
         self.name = name
-        self.pfs = pfs
-        self.cluster = pfs.cluster
         self.env = pfs.cluster.env
-        self.config = config
-        self.shard_slots = bool(shard_slots)
-        self.metrics = MetricRegistry(self.cluster.monitors)
-        self.board = SLOBoard(self.cluster.monitors, registry=self.metrics)
-        if config.recovery is not None:
-            pfs.set_recovery(config.recovery)
-        self.executor = LoadAwareExecutor(
-            pfs,
-            scheme=config.scheme,
-            registry=registry,
-            load_bias=config.load_bias,
-            recovery=config.recovery,
-            decision_ttl=config.decision_ttl,
-        )
-        self.injector: Optional[FaultInjector] = None
-        if config.faults is not None and len(config.faults):
-            self.injector = FaultInjector(self.cluster, config.faults, pfs=pfs)
-            if self.executor.cache is not None:
-                cache = self.executor.cache
-
-                def _membership_changed(event) -> None:
-                    # Crash/recovery changes which servers can host
-                    # offloads; cached verdicts predate that knowledge.
-                    if event.kind in ("crash", "recover"):
-                        cache.clear()
-
-                self.injector.on_event(_membership_changed)
-        slot_groups = None
-        if self.shard_slots:
-            metadata = pfs.metadata
-
-            def slot_groups(req: ServeRequest) -> str:
-                # Admission-slot group: the file's primary storage
-                # server under the *current* layout (a resize or
-                # failover re-homes the group with the data).
-                return metadata.lookup(req.file).layout.servers[0]
-
-        self.scheduler = FairScheduler(
-            self.cluster,
-            config.tenants,
-            self.executor,
-            self.board,
-            queue_capacity=config.queue_capacity,
-            concurrency=config.concurrency,
-            quantum=config.quantum,
-            retry=config.retry,
-            batch_max=config.batch_max,
-            slot_groups=slot_groups,
-        )
-        self.autoscaler: Optional[AutoscaleController] = None
-        if config.autoscale is not None:
-            files = sorted({f for t in config.tenants for f in t.files})
-            self.autoscaler = AutoscaleController(
-                pfs,
-                self.executor,
-                self.scheduler,
-                self.board,
-                config.autoscale,
-                files=files,
-                duration=config.duration,
-            )
         self._started = False
 
     # -- routing signals --------------------------------------------------------
@@ -166,41 +100,14 @@ class Cell:
 
     # -- reporting --------------------------------------------------------------
     def summary(self, elapsed: float) -> Dict[str, object]:
-        monitors = self.cluster.monitors
-        out: Dict[str, object] = {
+        return {
             "cell": self.name,
             "scheme": self.config.scheme,
             "elapsed": elapsed,
             "admitted": self.board.total_admitted,
             "settled": self.board.total_settled,
-            "paths": {
-                "offload": monitors.counter("serve.path.offload").value,
-                "normal": monitors.counter("serve.path.normal").value,
-                "diverted": monitors.counter("serve.diverted").value,
-                "redistributions": monitors.counter("serve.redistributions").value,
-            },
-            "tenants": self.board.summary(elapsed),
-            "batch": {
-                "max": self.config.batch_max,
-                **self.scheduler.batch_stats.as_dict(),
-            },
-            "result_digest": self.executor.result_digest(),
+            **self.summary_block(elapsed),
         }
-        if self.executor.cache is not None:
-            stats = self.executor.cache.stats
-            out["decision_cache"] = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-                "invalidations": stats.invalidations,
-            }
-            if self.executor.cache.ttl is not None:
-                out["decision_cache"]["expirations"] = stats.expirations
-        if self.config.faults is not None or self.config.recovery is not None:
-            out["faults"] = fault_summary(monitors, self.injector)
-        if self.config.autoscale is not None:
-            out["autoscale"] = autoscale_summary(monitors, self.autoscaler)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

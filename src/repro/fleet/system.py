@@ -20,11 +20,12 @@ prove it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import FleetError
 from ..serve.batch import combine_digests
-from ..serve.workload import ClosedLoopWorkload, OpenLoopWorkload, TenantSpec
+from ..serve.service import attach_sampler, bind_tracer
+from ..serve.workload import TenantSpec, build_workloads
 from ..sim import Environment, MonitorHub, RandomStreams
 from ..metrics.registry import MetricRegistry
 from .cell import Cell
@@ -94,11 +95,9 @@ class FleetSystem:
         self.deadline = float(deadline)
         self.load = float(load)
         self.monitors = MonitorHub(env)
-        if tracer is not None:
-            tracer.bind(lambda: env.now)
-            self.monitors.tracer = tracer
-            for cell in self.cells:
-                cell.cluster.monitors.tracer = tracer
+        bind_tracer(
+            tracer, env, self.monitors, *(c.cluster.monitors for c in self.cells)
+        )
         #: Declared catalog over the fleet hub (cells carry their own).
         self.metrics = MetricRegistry(self.monitors)
         self.longtail: Optional[LongtailAggregator] = None
@@ -130,60 +129,27 @@ class FleetSystem:
             interval=controller_interval,
             duration=self.duration,
         )
-        host = _WorkloadHost(env, seed)
-        open_tenants = tuple(t for t in self.tenants if t.mode == "open")
-        closed_tenants = tuple(t for t in self.tenants if t.mode == "closed")
-        workloads: List[object] = []
-        if open_tenants:
-            workloads.append(
-                OpenLoopWorkload(
-                    host,
-                    open_tenants,
-                    duration=self.duration,
-                    deadline=self.deadline,
-                    load=self.load,
-                    ramp=ramp,
-                )
-            )
-        if closed_tenants:
-            workloads.append(
-                ClosedLoopWorkload(
-                    host,
-                    closed_tenants,
-                    duration=self.duration,
-                    deadline=self.deadline,
-                )
-            )
-        self.workloads = tuple(workloads)
+        self.workloads = build_workloads(
+            _WorkloadHost(env, seed), self.tenants, self.duration,
+            self.deadline, load=self.load, ramp=ramp,
+        )
         self.telemetry = None
         if telemetry is not None:
             # One sampler over every hub on the shared clock: the fleet
             # scope (router/controller/longtail counters) plus one scope
             # per cell, each cell evaluated against the serve rule set.
-            from ..telemetry import (
-                TelemetrySampler,
-                default_fleet_rules,
-                default_serve_rules,
-            )
+            from ..telemetry import default_fleet_rules
 
-            self.telemetry = TelemetrySampler(env, telemetry)
             fleet_rules = telemetry.rules
-            cell_rules = default_serve_rules()
             if fleet_rules is None:
                 fleet_rules = default_fleet_rules(len(self.cells))
-            self.telemetry.add_scope(
-                "fleet", self.monitors, registry=self.metrics,
-                rules=fleet_rules, active_until=self.duration,
+            self.telemetry = attach_sampler(
+                env,
+                telemetry,
+                [("fleet", self.monitors, self.metrics, fleet_rules)]
+                + [(c.name, c.cluster.monitors, c.metrics, None) for c in self.cells],
+                active_until=self.duration,
             )
-            for cell in self.cells:
-                self.telemetry.add_scope(
-                    cell.name,
-                    cell.cluster.monitors,
-                    registry=cell.metrics,
-                    rules=cell_rules,
-                    active_until=self.duration,
-                )
-            self.telemetry.attach()
         self._ran = False
 
     # -- the run ----------------------------------------------------------------

@@ -7,7 +7,6 @@ from .experiments import (
     ExperimentReport,
     run_experiment,
 )
-from .export import report_to_csv, report_to_json, save_report
 from .platform import (
     ExperimentPlatform,
     build_platform,
@@ -28,8 +27,5 @@ __all__ = [
     "make_input",
     "run_cell",
     "run_experiment",
-    "report_to_csv",
-    "report_to_json",
     "run_label_cell",
-    "save_report",
 ]

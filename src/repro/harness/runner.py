@@ -21,7 +21,6 @@ from typing import List, Optional
 from ..units import KiB
 from .common import bench_timer
 from .experiments import EXPERIMENTS, run_experiment
-from .export import save_reports
 from .trajectory import write_trajectory
 
 
@@ -50,12 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-verify",
         action="store_true",
         help="skip output-vs-reference verification (faster)",
-    )
-    parser.add_argument(
-        "--output-dir",
-        default=None,
-        metavar="DIR",
-        help="also save each report as DIR/<experiment>.json and .csv",
     )
     parser.add_argument(
         "--bench-dir",
@@ -169,8 +162,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         timed.append((report, timing))
         print(report.to_text())
         print()
-        if args.output_dir:
-            save_reports(args.output_dir, [report])
         if not report.all_checks_pass:
             failures += 1
     if args.bench_dir:

@@ -111,6 +111,13 @@ class Cluster:
     def compute_names(self) -> List[str]:
         return [n.name for n in self.compute_nodes]
 
+    @property
+    def home_name(self) -> str:
+        """Where a cluster-wide client lives: the first compute node,
+        else (an all-storage cluster) the first storage node."""
+        names = self.compute_names
+        return names[0] if names else self.storage_names[0]
+
     # -- running ----------------------------------------------------------------------
     def run(self, until=None):
         """Run the simulation (delegates to the environment)."""

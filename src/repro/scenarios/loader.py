@@ -13,9 +13,10 @@ load time).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError, ScenarioError
 from ..faults import FaultPlan, RecoveryPolicy
@@ -38,6 +39,14 @@ from .spec import (
     ScenarioSpec,
     TopologySpec,
 )
+
+#: What a missing key means, read off the dataclass that declares it
+#: (``ScenarioSpec`` has required fields, so no default instance exists).
+_SPEC_DEFAULTS = {
+    f.name: f.default
+    for f in dataclasses.fields(ScenarioSpec)
+    if f.default is not dataclasses.MISSING
+}
 
 #: Directory of the named scenario library.
 LIBRARY_DIR = Path(__file__).parent / "library"
@@ -190,7 +199,9 @@ def _load(data: dict, origin: str) -> ScenarioSpec:
 
     name = ld.text(data, "name", "", required=True)
     description = ld.text(data, "description", "", default="")
-    seed = ld.number(data, "seed", "", default=20120910, integer=True, minimum=0)
+    seed = ld.number(
+        data, "seed", "", default=_SPEC_DEFAULTS["seed"], integer=True, minimum=0
+    )
 
     topology = _load_topology(ld, ld.section(data, "topology", "topology") or {})
     duration, deadline, load, ramp, tenants = _load_workload(
@@ -198,7 +209,10 @@ def _load(data: dict, origin: str) -> ScenarioSpec:
     )
     service = ld.section(data, "service", "service") or {}
     ld.check_keys(service, SERVICE_KEYS, "service")
-    retry = _load_retry(ld, ld.section(service, "retry", "service.retry"))
+    retry_section = ld.section(service, "retry", "service.retry")
+    retry = RetryPolicy() if retry_section is None else _load_policy(
+        ld, RetryPolicy, RETRY_KEYS, retry_section, "service.retry"
+    )
     chaos_text, recovery = _load_chaos(
         ld, ld.section(data, "chaos", "chaos"), topology, duration
     )
@@ -215,19 +229,17 @@ def _load(data: dict, origin: str) -> ScenarioSpec:
         load=load,
         ramp=ramp,
         seed=seed,
-        queue_capacity=ld.number(
-            service, "queue_capacity", "service", default=12, integer=True, minimum=1
+        **{
+            key: ld.number(
+                service, key, "service", default=_SPEC_DEFAULTS[key],
+                integer=True, minimum=1,
+            )
+            for key in ("queue_capacity", "concurrency", "quantum", "batch_max")
+        },
+        load_bias=ld.number(
+            service, "load_bias", "service", minimum=0,
+            default=_SPEC_DEFAULTS["load_bias"],
         ),
-        concurrency=ld.number(
-            service, "concurrency", "service", default=8, integer=True, minimum=1
-        ),
-        quantum=ld.number(
-            service, "quantum", "service", default=256 * 1024, integer=True, minimum=1
-        ),
-        batch_max=ld.number(
-            service, "batch_max", "service", default=1, integer=True, minimum=1
-        ),
-        load_bias=ld.number(service, "load_bias", "service", default=0.75, minimum=0),
         decision_ttl=ld.number(service, "decision_ttl", "service", minimum=0),
         retry=retry,
         chaos=chaos_text,
@@ -242,22 +254,28 @@ def _load(data: dict, origin: str) -> ScenarioSpec:
 
 def _load_topology(ld: _Loader, section: dict) -> TopologySpec:
     ld.check_keys(section, TOPOLOGY_KEYS, "topology")
-    nodes = ld.number(section, "nodes", "topology", default=8, integer=True, minimum=2)
+    defaults = TopologySpec()
+    nodes = ld.number(
+        section, "nodes", "topology", default=defaults.nodes, integer=True,
+        minimum=2,
+    )
     scheme = ld.text(
-        section, "scheme", "topology", default="DAS", choices=tuple(SCHEMES)
+        section, "scheme", "topology", default=defaults.scheme,
+        choices=tuple(SCHEMES),
     )
     ingest = ld.text(
-        section, "ingest", "topology", default="scheme", choices=INGEST_POLICIES
+        section, "ingest", "topology", default=defaults.ingest,
+        choices=INGEST_POLICIES,
     )
-    files = ld.name_list(section, "files", "topology", default=("dem_a", "dem_b"))
-    operator = ld.text(section, "operator", "topology", default="gaussian")
+    files = ld.name_list(section, "files", "topology", default=defaults.files)
+    operator = ld.text(section, "operator", "topology", default=defaults.operator)
     if operator not in default_registry:
         raise ld.fail(
             "topology.operator",
             f"unknown kernel {operator!r}"
             f" (registered: {', '.join(sorted(default_registry.names()))})",
         )
-    raster = section.get("raster", (128, 192))
+    raster = section.get("raster", defaults.raster)
     if (
         not isinstance(raster, (list, tuple))
         or len(raster) != 2
@@ -307,7 +325,7 @@ def _load_workload(ld: _Loader, section: dict, topology: TopologySpec):
         raise ld.fail("workload.duration", f"must be positive, got {duration!r}")
     if deadline <= 0:
         raise ld.fail("workload.deadline", f"must be positive, got {deadline!r}")
-    load = ld.number(section, "load", "workload", default=1.0)
+    load = ld.number(section, "load", "workload", default=_SPEC_DEFAULTS["load"])
     if load <= 0:
         raise ld.fail("workload.load", f"must be positive, got {load!r}")
     ramp = _load_ramp(ld, section.get("ramp"), duration)
@@ -466,50 +484,36 @@ def _load_chaos(ld: _Loader, section, topology: TopologySpec, duration: float):
     recovery_section = ld.section(section, "recovery", "chaos.recovery")
     recovery = None
     if recovery_section is not None:
-        ld.check_keys(recovery_section, RECOVERY_KEYS, "chaos.recovery")
-        try:
-            recovery = RecoveryPolicy(
-                rpc_timeout=ld.number(
-                    recovery_section, "rpc_timeout", "chaos.recovery", default=0.25
-                ),
-                max_attempts=ld.number(
-                    recovery_section, "max_attempts", "chaos.recovery",
-                    default=2, integer=True,
-                ),
-                backoff=ld.number(
-                    recovery_section, "backoff", "chaos.recovery", default=0.02
-                ),
-                backoff_factor=ld.number(
-                    recovery_section, "backoff_factor", "chaos.recovery", default=2.0
-                ),
-                hedge_delay=ld.number(
-                    recovery_section, "hedge_delay", "chaos.recovery"
-                ),
-            )
-        except ReproError as exc:
-            raise ld.fail("chaos.recovery", str(exc)) from None
+        recovery = _load_policy(
+            ld, RecoveryPolicy, RECOVERY_KEYS, recovery_section, "chaos.recovery"
+        )
     return text, recovery
+
+
+def _load_policy(ld: _Loader, cls, keys, section: dict, path: str):
+    """An all-numeric policy dataclass from its section.  A missing key
+    means the dataclass's own default, and a key whose default is an
+    ``int`` must be given as one."""
+    ld.check_keys(section, keys, path)
+    defaults = cls()
+    try:
+        return cls(
+            **{
+                key: ld.number(
+                    section, key, path, default=getattr(defaults, key),
+                    integer=isinstance(getattr(defaults, key), int),
+                )
+                for key in keys
+            }
+        )
+    except ReproError as exc:
+        raise ld.fail(path, str(exc)) from None
 
 
 def _load_autoscale(ld: _Loader, section, topology: TopologySpec):
     if section is None:
         return None
-    ld.check_keys(section, AUTOSCALE_KEYS, "autoscale")
-    defaults = AutoscalePolicy()
-    kwargs: Dict[str, object] = {}
-    for key in AUTOSCALE_KEYS:
-        integer = key in (
-            "min_servers", "max_servers", "queue_high", "breach_ticks",
-            "calm_ticks", "step", "min_samples",
-        )
-        kwargs[key] = ld.number(
-            section, key, "autoscale", default=getattr(defaults, key),
-            integer=integer,
-        )
-    try:
-        policy = AutoscalePolicy(**kwargs)  # type: ignore[arg-type]
-    except ReproError as exc:
-        raise ld.fail("autoscale", str(exc)) from None
+    policy = _load_policy(ld, AutoscalePolicy, AUTOSCALE_KEYS, section, "autoscale")
     n_storage = max(1, round(topology.nodes * 0.5))
     if policy.max_servers > n_storage:
         raise ld.fail(
@@ -518,24 +522,6 @@ def _load_autoscale(ld: _Loader, section, topology: TopologySpec):
             f" of a {topology.nodes}-node cluster",
         )
     return policy
-
-
-def _load_retry(ld: _Loader, section) -> RetryPolicy:
-    if section is None:
-        return RetryPolicy()
-    ld.check_keys(section, RETRY_KEYS, "service.retry")
-    try:
-        return RetryPolicy(
-            max_attempts=ld.number(
-                section, "max_attempts", "service.retry", default=2, integer=True
-            ),
-            backoff=ld.number(section, "backoff", "service.retry", default=0.05),
-            backoff_factor=ld.number(
-                section, "backoff_factor", "service.retry", default=2.0
-            ),
-        )
-    except ReproError as exc:
-        raise ld.fail("service.retry", str(exc)) from None
 
 
 def _load_checks(

@@ -35,18 +35,12 @@ class DynamicActiveStorageScheme(Scheme):
         super().__init__(pfs, registry)
         self.client = ActiveStorageClient(
             pfs,
-            home=self._home(),
+            home=self.cluster.home_name,
             engine=engine,
             registry=self.registry,
             halo_granularity=halo_granularity,
         )
         self._fallback = TraditionalScheme(pfs, registry=self.registry)
-
-    def _home(self) -> str:
-        names = self.cluster.compute_names
-        if names:
-            return names[0]
-        return self.cluster.storage_names[0]
 
     def _serve(self, operator: str, input_file: str, output_file: str, options):
         request = ActiveRequest(

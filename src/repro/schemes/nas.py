@@ -14,12 +14,9 @@ the request-serving load the paper measures.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.das_client import ActiveStorageClient
 from ..core.decision import OFFLOAD_IN_PLACE, DecisionEngine, OffloadDecision
 from ..core.request import ActiveRequest
-from ..errors import ActiveStorageError
 from .base import Scheme
 
 
@@ -32,16 +29,10 @@ class NormalActiveStorageScheme(Scheme):
         super().__init__(pfs, registry)
         self.client = ActiveStorageClient(
             pfs,
-            home=self._home(),
+            home=self.cluster.home_name,
             registry=self.registry,
             halo_granularity=halo_granularity,
         )
-
-    def _home(self) -> str:
-        names = self.cluster.compute_names
-        if names:
-            return names[0]
-        return self.cluster.storage_names[0]
 
     def _serve(self, operator: str, input_file: str, output_file: str, options):
         meta = self.pfs.metadata.lookup(input_file)

@@ -103,7 +103,8 @@ class LoadAwareExecutor:
                 clock=(lambda: env.now) if decision_ttl is not None else None,
             )
             self.client = ActiveStorageClient(
-                pfs, home=self._home(), engine=engine, registry=self.registry
+                pfs, home=self.cluster.home_name, engine=engine,
+                registry=self.registry,
             )
             self.client.recovery = recovery
 
@@ -121,28 +122,19 @@ class LoadAwareExecutor:
         #: req_id -> CRC-32 of the request's produced output bytes.
         self.digests: Dict[int, int] = {}
 
-    def _home(self) -> str:
-        names = self.cluster.compute_names
-        return names[0] if names else self.cluster.storage_names[0]
-
     # -- scheduler interface --------------------------------------------------
     def request_cost(self, req: ServeRequest) -> int:
         """DWRR cost of a request: the bytes of input it will consume."""
         return int(self.pfs.metadata.lookup(req.file).size)
 
-    def execute(self, req: ServeRequest, span=NULL_SPAN):
-        """Process: run ``req`` end to end; value is a result dict.
+    def execute_batch(self, batch: List[ServeRequest], span=NULL_SPAN):
+        """Process: serve every request of ``batch`` — one request, or
+        several sharing one ``(file, kernel, params)`` key — with a
+        single backend pass; value is the shared result dict.
 
         ``span`` is the dispatcher's attempt span (tracing only): the
         executor parents its fence/decision/backend spans under it.
         """
-        return self.env.process(
-            self._execute([req], span=span), name=f"serve-exec:{req.req_id}"
-        )
-
-    def execute_batch(self, batch: List[ServeRequest], span=NULL_SPAN):
-        """Process: serve every request of ``batch`` — all sharing one
-        ``(file, kernel, params)`` key — with a single backend pass."""
         leader = batch[0]
         key = batch_key(leader)
         for member in batch[1:]:
@@ -150,23 +142,15 @@ class LoadAwareExecutor:
                 raise ServeError(
                     f"batch mixes keys: {batch_key(member)} != {key}"
                 )
-        return self.env.process(
-            self._execute(list(batch), span=span),
-            name=f"serve-exec:{leader.req_id}x{len(batch)}",
+        name = f"serve-exec:{leader.req_id}"
+        if len(batch) > 1:
+            name += f"x{len(batch)}"
+        run = {"TS": self._run_normal, "NAS": self._run_nas}.get(
+            self.scheme, self._run_das
         )
+        return self.env.process(run(list(batch), span), name=name)
 
     # -- execution ------------------------------------------------------------
-    def _execute(self, batch: List[ServeRequest], span=NULL_SPAN):
-        if span is None:
-            span = NULL_SPAN
-        if self.scheme == "TS":
-            result = yield from self._run_normal(batch, span)
-        elif self.scheme == "NAS":
-            result = yield from self._run_nas(batch, span)
-        else:
-            result = yield from self._run_das(batch, span)
-        return result
-
     def _enter(self, path: str, n: int = 1) -> None:
         self._inflight[path] += n
         self._gauges[path].adjust(+n)
@@ -204,79 +188,78 @@ class LoadAwareExecutor:
             name, cat="fence", parent=span, file=file
         )
 
-    def _run_normal(self, batch: List[ServeRequest], span=NULL_SPAN):
-        """Client-side compute (the TS path; also the DAS fallback)."""
+    def _run_path(self, batch: List[ServeRequest], span, path: str, backend, **attrs):
+        """The bracket every backend pass runs inside: read fence ->
+        in-flight depth -> path counter -> work span -> ``backend(work)``
+        -> digest -> gather, unwound in reverse whatever the backend
+        raised.  ``backend`` is a generator function running the scheme
+        under the work span and returning the CRC of what it produced,
+        credited to every member — one execution, N identical results."""
         leader = batch[0]
         n = len(batch)
+        offload = path == "offload"
         claim = self._read_fence(leader.file)
         if not claim.triggered:
             fence = self._fence_span(span, "fence.read", leader.file)
             yield claim
             fence.finish()
-        self._enter("normal", n)
-        self.monitors.counter("serve.path.normal").add(n)
-        sink: Dict[str, tuple] = {}
-        options: Dict[str, object] = {"results_sink": sink}
+        self._enter(path, n)
+        self.monitors.counter(f"serve.path.{path}").add(n)
         work = NULL_SPAN
         if span:
             work = self.monitors.tracer.begin(
-                "normal-io",
-                cat="normal",
+                "offload" if offload else "normal-io",
+                cat=path,
                 parent=span,
                 file=leader.file,
                 kernel=leader.operator,
+                **attrs,
             )
-            options["trace_span"] = work
         try:
-            yield from self._ts._serve(
-                leader.operator, leader.file, leader.output, options,
-            )
-            self._record_client_digest(batch, sink)
+            digest = yield from backend(work)
+            for member in batch:
+                self.digests[member.req_id] = digest
             span.event("gather", members=n)
         finally:
             work.finish()
-            self._exit("normal", n)
+            self._exit(path, n)
+            if offload:
+                self._drop_output(leader.output)
             claim.release()
-        return {"path": "normal", "batched": n}
+        return {"path": path, "batched": n}
 
-    def _run_nas(self, batch: List[ServeRequest], span=NULL_SPAN):
+    def _run_normal(self, batch: List[ServeRequest], span):
+        """Client-side compute (the TS path; also the DAS fallback)."""
+        leader = batch[0]
+
+        def backend(work):
+            sink: Dict[str, tuple] = {}
+            options: Dict[str, object] = {"results_sink": sink}
+            if work:
+                options["trace_span"] = work
+            yield from self._ts._serve(
+                leader.operator, leader.file, leader.output, options
+            )
+            return self._client_digest(sink)
+
+        return self._run_path(batch, span, "normal", backend)
+
+    def _run_nas(self, batch: List[ServeRequest], span):
         """Unconditional offload on the current (round-robin) layout."""
         assert self._nas is not None
         leader = batch[0]
-        n = len(batch)
-        claim = self._read_fence(leader.file)
-        if not claim.triggered:
-            fence = self._fence_span(span, "fence.read", leader.file)
-            yield claim
-            fence.finish()
-        self._enter("offload", n)
-        self.monitors.counter("serve.path.offload").add(n)
-        options: Dict[str, object] = {}
-        work = NULL_SPAN
-        if span:
-            work = self.monitors.tracer.begin(
-                "offload",
-                cat="offload",
-                parent=span,
-                file=leader.file,
-                kernel=leader.operator,
-            )
-            options["trace_span"] = work
-        try:
+
+        def backend(work):
             yield from self._nas._serve(
-                leader.operator, leader.file, leader.output, options
+                leader.operator, leader.file, leader.output,
+                {"trace_span": work} if work else {},
             )
-            self._record_output_digest(batch, leader.output)
-            span.event("gather", members=n)
-        finally:
-            work.finish()
-            self._exit("offload", n)
-            self._drop_output(leader.output)
-            claim.release()
-        return {"path": "offload", "batched": n}
+            return self._output_digest(leader.output)
+
+        return self._run_path(batch, span, "offload", backend)
 
     # -- the DAS serving path ------------------------------------------------
-    def _run_das(self, batch: List[ServeRequest], span=NULL_SPAN):
+    def _run_das(self, batch: List[ServeRequest], span):
         assert self.client is not None and self.cache is not None
         leader = batch[0]
         n = len(batch)
@@ -307,49 +290,30 @@ class LoadAwareExecutor:
         if offload and decision.redistribute_to is not None:
             decision = yield from self._ensure_layout(leader, span)
             offload = decision.accept
-        if not offload:
-            result = yield from self._run_normal(batch, span)
-            result["decision"] = decision.outcome
-            return result
+        if offload:
 
-        claim = self._read_fence(leader.file)
-        if not claim.triggered:
-            fence = self._fence_span(span, "fence.read", leader.file)
-            yield claim
-            fence.finish()
-        self._enter("offload", n)
-        self.monitors.counter("serve.path.offload").add(n)
-        work = NULL_SPAN
-        if span:
-            work = self.monitors.tracer.begin(
-                "offload",
-                cat="offload",
-                parent=span,
-                file=leader.file,
-                kernel=leader.operator,
-                members=n,
-            )
-        try:
-            requests = [
-                ActiveRequest(
-                    operator=member.operator,
-                    file=member.file,
-                    output=member.output,
-                    pipeline_length=member.pipeline_length,
+            def backend(work):
+                requests = [
+                    ActiveRequest(
+                        operator=member.operator,
+                        file=member.file,
+                        output=member.output,
+                        pipeline_length=member.pipeline_length,
+                    )
+                    for member in batch
+                ]
+                yield self.client.execute_offload_batch(
+                    requests, decision, span=work
                 )
-                for member in batch
-            ]
-            yield self.client.execute_offload_batch(
-                requests, decision, span=work
+                return self._output_digest(leader.output)
+
+            result = yield from self._run_path(
+                batch, span, "offload", backend, members=n
             )
-            self._record_output_digest(batch, leader.output)
-            span.event("gather", members=n)
-        finally:
-            work.finish()
-            self._exit("offload", n)
-            self._drop_output(leader.output)
-            claim.release()
-        return {"path": "offload", "decision": decision.outcome, "batched": n}
+        else:
+            result = yield from self._run_normal(batch, span)
+        result["decision"] = decision.outcome
+        return result
 
     def _file_degraded(self, meta) -> bool:
         """True when any server holding the file's strips is down."""
@@ -358,24 +322,19 @@ class LoadAwareExecutor:
         )
 
     # -- result digests -------------------------------------------------------
-    def _record_output_digest(self, batch: List[ServeRequest], output: str) -> None:
-        """CRC the produced output (instant verification read) and credit
-        it to every member — one execution, N identical results."""
-        data = self.pfs.client(self._home()).collect(output)
-        digest = digest_bytes(np.ascontiguousarray(data))
-        for member in batch:
-            self.digests[member.req_id] = digest
+    def _output_digest(self, output: str) -> int:
+        """CRC of the produced output file (instant verification read)."""
+        data = self.pfs.client(self.cluster.home_name).collect(output)
+        return digest_bytes(np.ascontiguousarray(data))
 
-    def _record_client_digest(self, batch: List[ServeRequest], sink) -> None:
-        """CRC the client-resident results of a normal-path run (results
+    @staticmethod
+    def _client_digest(sink) -> int:
+        """CRC of the client-resident results of a normal-path run (results
         never hit the PFS; concatenate the workers' shares in file order)."""
         shares = sorted(sink.values(), key=lambda item: item[0])
-        buf = b"".join(
-            np.ascontiguousarray(arr).tobytes() for _, arr in shares
+        return digest_bytes(
+            b"".join(np.ascontiguousarray(arr).tobytes() for _, arr in shares)
         )
-        digest = digest_bytes(buf)
-        for member in batch:
-            self.digests[member.req_id] = digest
 
     def result_digest(self) -> Dict[str, int]:
         """Order-independent roll-up of every request's output CRC."""

@@ -94,10 +94,8 @@ class FairScheduler:
             raise ServeError("queue_capacity, concurrency and quantum must be >= 1")
         if batch_max < 1:
             raise ServeError(f"batch_max must be >= 1, got {batch_max!r}")
-        if batch_max > 1 and not callable(getattr(executor, "execute_batch", None)):
-            raise ServeError(
-                "batch_max > 1 needs an executor with execute_batch(batch)"
-            )
+        if not callable(getattr(executor, "execute_batch", None)):
+            raise ServeError("executor needs execute_batch(batch, span=...)")
         self.cluster = cluster
         self.env = cluster.env
         self.executor = executor
@@ -172,38 +170,55 @@ class FairScheduler:
         return sum(len(p.users) for p in self._group_slots.values())
 
     # -- DWRR dispatcher --------------------------------------------------------
-    def _backlogged(self):
-        return [t for t, q in self.queues.items() if q]
+    def _wait_for_slot(self, req: ServeRequest):
+        """Unsharded acquisition: claim the one global pool and *wait*
+        for the grant — the backpressure that builds queue depth."""
+        return self._slots.request()
 
-    def _slot_pool(self, req: ServeRequest) -> Resource:
-        """The admission-slot pool ``req`` dispatches through: the one
-        global pool by default, or the request's group pool (created on
-        first use, same per-group capacity) when sharding is on."""
-        if self._slot_groups is None:
-            return self._slots
+    def _free_slot_or_skip(self, req: ServeRequest):
+        """Sharded acquisition: claim ``req``'s group pool (created on
+        first use, same per-group capacity) only if it has room, else
+        ``None`` — the tenant is skipped for the round instead of
+        blocking the dispatcher, so a hot group cannot starve dispatches
+        bound for idle groups."""
         key = self._slot_groups(req)
         pool = self._group_slots.get(key)
         if pool is None:
-            pool = Resource(self.env, capacity=self._concurrency)
-            self._group_slots[key] = pool
-        return pool
+            pool = self._group_slots[key] = Resource(
+                self.env, capacity=self._concurrency
+            )
+        if len(pool.users) >= pool.capacity:
+            return None
+        return pool.request()  # granted synchronously: pool had room
 
     def _dispatch_loop(self):
-        if self._slot_groups is not None:
-            yield from self._dispatch_loop_sharded()
-            return
+        """DWRR rounds over the backlogged tenants.  The two slot
+        policies are not equivalent — one blocks, one skips — and differ
+        only in ``acquire``; the pop -> expire -> drain riders -> book ->
+        launch body after the grant is the same for both."""
+        acquire = (
+            self._wait_for_slot
+            if self._slot_groups is None
+            else self._free_slot_or_skip
+        )
         while True:
             if not any(self.queues.values()):
                 # Sleep until the next admission kicks us.
                 self._kick = self.env.event()
                 yield self._kick
+            progressed = False
+            blocked = False
             # One DWRR round over the currently backlogged tenants.
-            for tenant in self._backlogged():
-                queue = self.queues[tenant]
+            for tenant, queue in [(t, q) for t, q in self.queues.items() if q]:
                 self._deficit[tenant] += self.quantum * self.weights[tenant]
                 while queue and queue[0].cost <= self._deficit[tenant]:
-                    slot = self._slots.request()
-                    yield slot  # backpressure: wait for a free slot
+                    slot = acquire(queue[0])
+                    if slot is None:
+                        # Gated on a full pool; the deficit survives
+                        # (the queue is non-empty).
+                        blocked = True
+                        break  # head-of-line within this tenant only
+                    yield slot
                     if not queue:
                         slot.cancel()
                         break
@@ -227,61 +242,15 @@ class FairScheduler:
                     self.env.process(
                         self._attempt(batch, slot), name=f"serve-req:{req.req_id}"
                     )
+                    progressed = True
                 if not queue:
                     # Classic DWRR: an emptied queue forfeits its deficit —
                     # but batch-rider debt (negative deficit) survives, or a
                     # tenant could launder prepaid bytes by draining dry.
                     self._deficit[tenant] = min(0.0, self._deficit[tenant])
-
-    def _dispatch_loop_sharded(self):
-        """DWRR over per-group slot pools.  A tenant whose head-of-line
-        request is gated on a full pool is skipped for the round (its
-        deficit survives — the queue is non-empty) instead of blocking
-        the dispatcher, so a hot group cannot starve dispatches bound
-        for idle groups.  When every backlogged head is gated, sleep
-        until a slot frees or a new admission kicks."""
-        while True:
-            if not any(self.queues.values()):
-                self._kick = self.env.event()
-                yield self._kick
-            progressed = False
-            blocked = False
-            for tenant in self._backlogged():
-                queue = self.queues[tenant]
-                self._deficit[tenant] += self.quantum * self.weights[tenant]
-                while queue and queue[0].cost <= self._deficit[tenant]:
-                    pool = self._slot_pool(queue[0])
-                    if len(pool.users) >= pool.capacity:
-                        blocked = True
-                        break  # head-of-line within this tenant only
-                    slot = pool.request()
-                    yield slot  # granted synchronously: pool had room
-                    if not queue:
-                        slot.cancel()
-                        break
-                    req = queue.popleft()
-                    self._depth_gauge.adjust(-1)
-                    self._deficit[tenant] -= req.cost
-                    self._dequeued(req)
-                    if self.env.now > req.deadline:
-                        slot.cancel()
-                        self.board.settle(req, EXPIRED)
-                        continue
-                    batch = [req]
-                    if self.batch_max > 1:
-                        batch += self._drain_riders(req)
-                    self.batch_stats.dispatches += 1
-                    self.batch_stats.requests += len(batch)
-                    self.batch_stats.merged += len(batch) - 1
-                    for member in batch:
-                        self.dispatch_log.append((member.tenant, member.req_id))
-                    self.env.process(
-                        self._attempt(batch, slot), name=f"serve-req:{req.req_id}"
-                    )
-                    progressed = True
-                if not queue:
-                    self._deficit[tenant] = min(0.0, self._deficit[tenant])
             if blocked and not progressed:
+                # Every backlogged head is gated: sleep until a slot
+                # frees or a new admission kicks.
                 self._kick = self.env.event()
                 yield self._kick
 
@@ -348,21 +317,9 @@ class FairScheduler:
                 spans = self._attempt_spans(batch) if tracer else ()
                 lead_span = next((s for s in spans if s), NULL_SPAN)
                 try:
-                    # The span kwarg only goes out when tracing opened
-                    # spans, so untraced runs keep the original executor
-                    # contract (stub executors need not accept it).
-                    if len(batch) == 1:
-                        result = yield (
-                            self.executor.execute(batch[0], span=lead_span)
-                            if spans
-                            else self.executor.execute(batch[0])
-                        )
-                    else:
-                        result = yield (
-                            self.executor.execute_batch(list(batch), span=lead_span)
-                            if spans
-                            else self.executor.execute_batch(list(batch))
-                        )
+                    result = yield self.executor.execute_batch(
+                        batch, span=lead_span
+                    )
                 except ServeError:
                     raise  # accounting bugs must not be retried into silence
                 except Exception as exc:  # noqa: BLE001 - backend fault domain

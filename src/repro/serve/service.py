@@ -1,8 +1,8 @@
 """The serving system: workload -> admission -> fair dispatch -> SLOs.
 
-:class:`ServeSystem` wires the pieces together over an existing
-cluster + PFS (files already ingested) and runs one serving interval to
-quiescence::
+:class:`ServingStack` wires the pieces together, once, over an existing
+cluster + PFS (files already ingested); :class:`ServeSystem` puts the
+workloads on top of it and runs one serving interval to quiescence::
 
     config = ServeConfig(tenants=(TenantSpec("a", rate=4.0, files=("dem",)),))
     summary = ServeSystem(pfs, config).run()
@@ -31,7 +31,7 @@ from .autoscale import AutoscaleController, AutoscalePolicy
 from .dispatch import SCHEMES, LoadAwareExecutor
 from .scheduler import FairScheduler, RetryPolicy
 from .slo import SLOBoard
-from .workload import ClosedLoopWorkload, OpenLoopWorkload, TenantSpec
+from .workload import TenantSpec, build_workloads
 
 
 @dataclass(frozen=True)
@@ -85,24 +85,63 @@ class ServeConfig:
     telemetry: Optional[object] = None
 
 
-class ServeSystem:
-    """One multi-tenant serving run over an existing platform."""
+def bind_tracer(tracer, env, *hubs) -> None:
+    """Put ``tracer`` (when there is one) on the run's clock and on
+    every monitor hub whose instrumentation sites should record to it."""
+    if tracer is not None:
+        tracer.bind(lambda: env.now)
+        for hub in hubs:
+            hub.tracer = tracer
+
+
+def attach_sampler(env, config, scopes, active_until: float):
+    """The run's clock-driven sampler, attached — or ``None`` without a
+    telemetry ``config``.  ``scopes`` yields one ``(label, monitors,
+    registry, rules)`` per hub sampled, ``rules=None`` meaning the stock
+    serving-cell set; a scope's alert rules stop evaluating at
+    ``active_until`` (the end of offered load)."""
+    if config is None:
+        return None
+    from ..telemetry import TelemetrySampler, default_serve_rules
+
+    sampler = TelemetrySampler(env, config)
+    for label, monitors, registry, rules in scopes:
+        if rules is None:
+            rules = default_serve_rules()
+        sampler.add_scope(label, monitors, registry, rules, active_until)
+    sampler.attach()
+    return sampler
+
+
+class ServingStack:
+    """The serving stack over one cluster + PFS, built in one place:
+    metric registry -> SLO board -> recovery -> load-aware executor ->
+    fault injector (with its membership hook) -> DWRR fair scheduler ->
+    optional autoscale controller.
+
+    It owns no arrival generation and no run loop.  A
+    :class:`ServeSystem` *has* one and adds workloads and ``run()``; a
+    :class:`~repro.fleet.Cell` *is* one and adds the routing signals,
+    handing in ``slot_groups`` to shard its admission slots.
+    """
+
+    #: What a bad configuration raises (a fleet cell reports FleetError).
+    error = ServeError
 
     def __init__(
         self,
         pfs: ParallelFileSystem,
         config: ServeConfig,
         registry: Optional[KernelRegistry] = None,
+        slot_groups=None,
     ):
         if config.scheme not in SCHEMES:
-            raise ServeError(f"unknown scheme {config.scheme!r}")
+            raise self.error(f"unknown scheme {config.scheme!r}")
+        if not config.tenants:
+            raise self.error("serving needs at least one tenant")
         self.pfs = pfs
         self.cluster = pfs.cluster
         self.config = config
-        if config.tracer is not None:
-            env = self.cluster.env
-            config.tracer.bind(lambda: env.now)
-            self.cluster.monitors.tracer = config.tracer
         #: Declared catalog over the hub's counters/gauges plus the
         #: serving-latency histograms observed by the SLO board.
         self.metrics = MetricRegistry(self.cluster.monitors)
@@ -140,39 +179,8 @@ class ServeSystem:
             quantum=config.quantum,
             retry=config.retry,
             batch_max=config.batch_max,
+            slot_groups=slot_groups,
         )
-        # Tenants choose their arrival model individually; a run may mix
-        # open-loop (rate-driven) and closed-loop (population-driven)
-        # tenants, each workload driving the same admission controller.
-        if not config.tenants:
-            raise ServeError("serving run needs at least one tenant")
-        open_tenants = tuple(t for t in config.tenants if t.mode == "open")
-        closed_tenants = tuple(t for t in config.tenants if t.mode == "closed")
-        workloads = []
-        if open_tenants:
-            workloads.append(
-                OpenLoopWorkload(
-                    self.cluster,
-                    open_tenants,
-                    duration=config.duration,
-                    deadline=config.deadline,
-                    load=config.load,
-                    ramp=config.ramp,
-                )
-            )
-        if closed_tenants:
-            workloads.append(
-                ClosedLoopWorkload(
-                    self.cluster,
-                    closed_tenants,
-                    duration=config.duration,
-                    deadline=config.deadline,
-                )
-            )
-        self.workloads = tuple(workloads)
-        #: The primary (open-loop when present) workload, kept as an
-        #: attribute for callers that predate mixed-mode runs.
-        self.workload = self.workloads[0]
         self.autoscaler: Optional[AutoscaleController] = None
         if config.autoscale is not None:
             files = sorted({f for t in config.tenants for f in t.files})
@@ -185,19 +193,72 @@ class ServeSystem:
                 files=files,
                 duration=config.duration,
             )
-        self.telemetry = None
-        if config.telemetry is not None:
-            from ..telemetry import TelemetrySampler, default_serve_rules
 
-            self.telemetry = TelemetrySampler(self.cluster.env, config.telemetry)
-            rules = config.telemetry.rules
-            if rules is None:
-                rules = default_serve_rules()
-            self.telemetry.add_scope(
-                "serve", self.cluster.monitors, registry=self.metrics,
-                rules=rules, active_until=config.duration,
-            )
-            self.telemetry.attach()
+    def summary_block(self, elapsed: float) -> Dict[str, object]:
+        """What every deployment of the stack reports, in report order."""
+        monitors = self.cluster.monitors
+        out: Dict[str, object] = {
+            "paths": {
+                "offload": monitors.counter("serve.path.offload").value,
+                "normal": monitors.counter("serve.path.normal").value,
+                "diverted": monitors.counter("serve.diverted").value,
+                "redistributions": monitors.counter("serve.redistributions").value,
+            },
+            "tenants": self.board.summary(elapsed),
+            "batch": {
+                "max": self.config.batch_max,
+                **self.scheduler.batch_stats.as_dict(),
+            },
+            "result_digest": self.executor.result_digest(),
+        }
+        if self.executor.cache is not None:
+            stats = self.executor.cache.stats
+            out["decision_cache"] = {
+                "hits": stats.hits,
+                "misses": stats.misses,
+                "evictions": stats.evictions,
+                "invalidations": stats.invalidations,
+            }
+            if self.executor.cache.ttl is not None:
+                out["decision_cache"]["expirations"] = stats.expirations
+        if self.config.faults is not None or self.config.recovery is not None:
+            # Only fault-configured runs carry the block; fault-free
+            # summaries are unchanged by the fault subsystem.
+            out["faults"] = fault_summary(monitors, self.injector)
+        if self.config.autoscale is not None:
+            # As with faults: only autoscale-configured runs carry the
+            # block, so static summaries stay bit-identical.
+            out["autoscale"] = autoscale_summary(monitors, self.autoscaler)
+        return out
+
+
+class ServeSystem:
+    """One multi-tenant serving run over an existing platform."""
+
+    def __init__(
+        self,
+        pfs: ParallelFileSystem,
+        config: ServeConfig,
+        registry: Optional[KernelRegistry] = None,
+    ):
+        env = pfs.cluster.env
+        bind_tracer(config.tracer, env, pfs.cluster.monitors)
+        self.stack = stack = ServingStack(pfs, config, registry)
+        self.pfs, self.cluster, self.config = pfs, pfs.cluster, config
+        self.metrics, self.board = stack.metrics, stack.board
+        self.executor, self.injector = stack.executor, stack.injector
+        self.scheduler, self.autoscaler = stack.scheduler, stack.autoscaler
+        self.workloads = build_workloads(
+            self.cluster, config.tenants, config.duration, config.deadline,
+            load=config.load, ramp=config.ramp,
+        )
+        rules = config.telemetry.rules if config.telemetry is not None else None
+        self.telemetry = attach_sampler(
+            env,
+            config.telemetry,
+            [("serve", self.cluster.monitors, self.metrics, rules)],
+            active_until=config.duration,
+        )
         self._ran = False
 
     def run(self) -> Dict[str, object]:
@@ -229,6 +290,7 @@ class ServeSystem:
 
     def summary(self, elapsed: float) -> Dict[str, object]:
         monitors = self.cluster.monitors
+        shared = self.stack.summary_block(elapsed)
         out: Dict[str, object] = {
             "scheme": self.config.scheme,
             "load": self.config.load,
@@ -237,52 +299,25 @@ class ServeSystem:
             "generated": sum(w.generated for w in self.workloads),
             "admitted": self.board.total_admitted,
             "settled": self.board.total_settled,
-            "paths": {
-                "offload": monitors.counter("serve.path.offload").value,
-                "normal": monitors.counter("serve.path.normal").value,
-                "diverted": monitors.counter("serve.diverted").value,
-                "redistributions": monitors.counter("serve.redistributions").value,
-            },
-            "tenants": self.board.summary(elapsed),
-            "batch": {
-                "max": self.config.batch_max,
-                **self.scheduler.batch_stats.as_dict(),
-            },
-            # Wire accounting split by role: fixed per-message headers
-            # (what batching amortises) vs per-extent descriptors and
-            # halo payload (what it must NOT change per request).
-            "bytes": {
-                "request_header": int(
-                    monitors.counter("pfs.rpc.header_bytes").value
-                    + monitors.counter("as.rpc.header_bytes").value
-                ),
-                "extent_desc": int(
-                    monitors.counter("pfs.rpc.extent_desc_bytes").value
-                    + monitors.counter("as.rpc.item_bytes").value
-                ),
-                "halo_local": int(monitors.counter("as.halo_bytes_local").value),
-                "halo_remote": int(monitors.counter("as.halo_bytes_remote").value),
-            },
-            "result_digest": self.executor.result_digest(),
         }
-        if self.executor.cache is not None:
-            stats = self.executor.cache.stats
-            out["decision_cache"] = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-                "invalidations": stats.invalidations,
-            }
-            if self.executor.cache.ttl is not None:
-                out["decision_cache"]["expirations"] = stats.expirations
-        if self.config.faults is not None or self.config.recovery is not None:
-            # Only fault-configured runs carry the block; fault-free
-            # summaries are unchanged by the fault subsystem.
-            out["faults"] = fault_summary(monitors, self.injector)
-        if self.config.autoscale is not None:
-            # As with faults: only autoscale-configured runs carry the
-            # block, so static summaries stay bit-identical.
-            out["autoscale"] = autoscale_summary(monitors, self.autoscaler)
+        for key in ("paths", "tenants", "batch"):
+            out[key] = shared.pop(key)
+        # Wire accounting split by role: fixed per-message headers
+        # (what batching amortises) vs per-extent descriptors and
+        # halo payload (what it must NOT change per request).
+        out["bytes"] = {
+            "request_header": int(
+                monitors.counter("pfs.rpc.header_bytes").value
+                + monitors.counter("as.rpc.header_bytes").value
+            ),
+            "extent_desc": int(
+                monitors.counter("pfs.rpc.extent_desc_bytes").value
+                + monitors.counter("as.rpc.item_bytes").value
+            ),
+            "halo_local": int(monitors.counter("as.halo_bytes_local").value),
+            "halo_remote": int(monitors.counter("as.halo_bytes_remote").value),
+        }
+        out.update(shared)
         if self.telemetry is not None:
             # Same pattern again: only telemetry-configured runs carry
             # the block, so sampled-off summaries stay bit-identical.

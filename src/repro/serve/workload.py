@@ -385,3 +385,33 @@ class ClosedLoopWorkload:
             )
             if sink.submit(req):
                 yield settled
+
+
+def build_workloads(
+    host,
+    tenants: Tuple[TenantSpec, ...],
+    duration: float,
+    deadline: float,
+    load: float = 1.0,
+    ramp: Optional[Tuple[Tuple[float, float], ...]] = None,
+) -> tuple:
+    """The workload generators ``tenants`` ask for, open-loop first.
+
+    Tenants choose their arrival model individually; a run may mix
+    open-loop (rate-driven) and closed-loop (population-driven) tenants,
+    each workload driving the same admission sink.  ``host`` supplies
+    the clock and the named random streams (a ``Cluster``, or the
+    fleet's own stream host).
+    """
+    open_tenants = tuple(t for t in tenants if t.mode == "open")
+    closed_tenants = tuple(t for t in tenants if t.mode == "closed")
+    workloads = []
+    if open_tenants:
+        workloads.append(
+            OpenLoopWorkload(host, open_tenants, duration, deadline, load, ramp)
+        )
+    if closed_tenants:
+        workloads.append(
+            ClosedLoopWorkload(host, closed_tenants, duration, deadline)
+        )
+    return tuple(workloads)

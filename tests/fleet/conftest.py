@@ -14,7 +14,7 @@ TENANTS = (
 )
 
 
-def make_cell(
+def make_platform(
     env,
     name,
     tenants=TENANTS,
@@ -22,9 +22,8 @@ def make_cell(
     concurrency=2,
     duration=2.0,
     files=("dem_a", "dem_b"),
-    shard_slots=True,
 ):
-    """One small serving cell (4 nodes) on the shared fleet clock."""
+    """``(pfs, config)`` of one small cell (4 nodes) on ``env``."""
     spec = ScenarioSpec(
         name=name,
         description="fleet test cell",
@@ -35,8 +34,12 @@ def make_cell(
         queue_capacity=queue_capacity,
         concurrency=concurrency,
     )
-    pfs, config = build_scenario(spec, env=env)
-    return Cell(name, pfs, config, shard_slots=shard_slots)
+    return build_scenario(spec, env=env)
+
+
+def make_cell(env, name, **kw):
+    """One small serving cell on the shared fleet clock."""
+    return Cell(name, *make_platform(env, name, **kw))
 
 
 def make_request(req_id, tenant="alpha", file="dem_a", deadline=10.0):

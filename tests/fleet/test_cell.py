@@ -4,9 +4,10 @@ import pytest
 
 from repro.errors import FleetError
 from repro.fleet import Cell
-from repro.serve import ServeConfig, TenantSpec
+from repro.serve import ServeConfig, ServeSystem
+from repro.sim import Environment
 
-from .conftest import TENANTS, make_cell, make_request
+from .conftest import TENANTS, make_cell, make_platform, make_request
 
 
 class TestConstruction:
@@ -92,6 +93,24 @@ class TestServing:
         assert group == cell.pfs.metadata.lookup("dem_a").layout.servers[0]
         assert group in cell.pfs.server_names
 
-    def test_shard_slots_off_leaves_scheduler_unsharded(self, env):
-        cell = make_cell(env, "c", shard_slots=False)
-        assert cell.scheduler._slot_groups is None
+    def test_only_cells_shard_their_admission_slots(self, env):
+        # One stack, two acquisition policies: a ServeSystem keeps the
+        # single global pool, a Cell keys pools on the primary server.
+        system = ServeSystem(*make_platform(Environment(), "s"))
+        assert system.scheduler._slot_groups is None
+        cell = make_cell(env, "c")
+        group = cell.scheduler._slot_groups(make_request(1, file="dem_b"))
+        assert group == cell.pfs.metadata.lookup("dem_b").layout.servers[0]
+
+    def test_shared_summary_block_matches_serve_system(self, env):
+        # Same spec, both deployments of the stack: the block they share
+        # carries the same keys in the same order.
+        shared = (
+            "paths", "tenants", "batch", "result_digest", "decision_cache",
+        )
+        system = ServeSystem(*make_platform(Environment(), "s"))
+        cell = make_cell(env, "s")
+        block = list(cell.summary_block(0.0))
+        assert block == list(shared)
+        for summary in (system.summary(0.0), cell.summary(0.0)):
+            assert [k for k in summary if k in shared] == block

@@ -2,8 +2,11 @@
 
 import json
 
+from repro.faults import RecoveryPolicy
 from repro.scenarios import SCHEMA_SECTIONS, load_scenario
 from repro.scenarios.spec import (
+    ScenarioSpec,
+    TopologySpec,
     AUTOSCALE_KEYS,
     CHECK_KEYS,
     TENANT_KEYS,
@@ -84,6 +87,28 @@ def test_minimal_document_round_trips_with_defaults():
     assert spec.topology.scheme == "DAS"
     assert spec.chaos is None and spec.autoscale is None
     assert load_scenario(spec.to_dict()) == spec
+
+
+def test_missing_keys_mean_the_dataclass_defaults():
+    # The loader reads defaults off the dataclasses, so a spec built
+    # from the required fields alone is what a minimal document loads to.
+    spec = load_scenario(MINIMAL_DOC)
+    assert spec == ScenarioSpec(
+        name=spec.name,
+        description="",
+        topology=TopologySpec(),
+        tenants=spec.tenants,
+        duration=spec.duration,
+        deadline=spec.deadline,
+    )
+    # Present-but-empty policy sections default key by key.
+    empty = load_scenario({
+        **MINIMAL_DOC,
+        "service": {"retry": {}},
+        "chaos": {"spec": "crash:s1@0.5", "recovery": {}},
+    })
+    assert empty.retry == spec.retry
+    assert empty.recovery == RecoveryPolicy()
 
 
 def test_optional_sections_absent_from_minimal_dict():

@@ -124,10 +124,7 @@ class BatchStub:
     def request_cost(self, req):
         return QUANTUM
 
-    def execute(self, req):
-        return self.execute_batch([req])
-
-    def execute_batch(self, batch):
+    def execute_batch(self, batch, span=None):
         self.batches.append([r.req_id for r in batch])
         return self.env.process(self._run())
 

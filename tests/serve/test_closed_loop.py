@@ -231,8 +231,8 @@ class ChaosExecutor:
     def request_cost(self, req):
         return 1024
 
-    def execute(self, req):
-        return self.env.process(self._run(req))
+    def execute_batch(self, batch, span=None):
+        return self.env.process(self._run(batch[0]))
 
     def _run(self, req):
         i = self.calls

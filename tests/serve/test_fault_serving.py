@@ -10,8 +10,10 @@ configured, the subsystem is invisible.
 import pytest
 
 from repro.faults import RecoveryPolicy
+from repro.fleet import Cell, FleetSystem
 from repro.harness.chaos_bench import fault_spec, single_crash
-from repro.scenarios import run_scenario
+from repro.scenarios import build_scenario, run_scenario
+from repro.sim import Environment
 
 DURATION = 1.5
 RECOVERY = RecoveryPolicy(rpc_timeout=0.25, max_attempts=2, backoff=0.02)
@@ -20,6 +22,17 @@ RECOVERY = RecoveryPolicy(rpc_timeout=0.25, max_attempts=2, backoff=0.02)
 def chaos_cell(scheme, duration, **changes):
     """One chaos-bench cell's summary, straight from its spec."""
     return run_scenario(fault_spec(scheme, duration, **changes))[0]
+
+
+def lone_cell(spec):
+    """The same spec served by a one-cell fleet; the cell's summary."""
+    env = Environment()
+    cell = Cell("cell", *build_scenario(spec, env=env))
+    fleet = FleetSystem(
+        env, [cell], spec.tenants, duration=spec.duration,
+        deadline=spec.deadline, load=spec.load,
+    )
+    return fleet.run()["cells"][0]
 
 
 def crash_plan():
@@ -91,12 +104,12 @@ class TestFaultFreeRuns:
         assert summary["tenants"]["_all"]["availability"] == 1.0
 
     def test_decision_cache_cleared_on_membership_change(self):
-        summary = chaos_cell(
-            "DAS", DURATION, chaos=crash_plan(), recovery=RECOVERY
-        )
-        stats = summary["decision_cache"]
-        # The crash and the recovery each flushed the cache, so at least
-        # two extra misses happened beyond the three (tenant, kernel)
-        # combinations.
-        assert stats["invalidations"] > 0
-        assert summary["faults"]["events_applied"] == 2
+        # Both deployments of the serving stack carry the hook.
+        spec = fault_spec("DAS", DURATION, chaos=crash_plan(), recovery=RECOVERY)
+        for summary in (run_scenario(spec)[0], lone_cell(spec)):
+            stats = summary["decision_cache"]
+            # The crash and the recovery each flushed the cache, so at
+            # least two extra misses happened beyond the three (tenant,
+            # kernel) combinations.
+            assert stats["invalidations"] > 0
+            assert summary["faults"]["events_applied"] == 2

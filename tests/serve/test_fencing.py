@@ -50,8 +50,8 @@ def hammer(cluster, executor, n_requests):
     offload — so reads race the redistribution both ways."""
     size = executor.pfs.metadata.lookup("dem").size
     procs = [
-        executor.execute(
-            make_request(i, size, pipeline_length=1 if i % 3 == 2 else 2)
+        executor.execute_batch(
+            [make_request(i, size, pipeline_length=1 if i % 3 == 2 else 2)]
         )
         for i in range(n_requests)
     ]
@@ -109,7 +109,7 @@ def test_sequential_requests_reuse_the_moved_layout(world):
     size = pfs.metadata.lookup("dem").size
 
     def one(req_id):
-        proc = executor.execute(make_request(req_id, size))
+        proc = executor.execute_batch([make_request(req_id, size)])
         cluster.run(until=proc)
         return proc.value
 

@@ -32,8 +32,8 @@ class StubExecutor:
     def request_cost(self, req):
         return QUANTUM
 
-    def execute(self, req):
-        return self.env.process(self._run(req))
+    def execute_batch(self, batch, span=None):
+        return self.env.process(self._run(batch[0]))
 
     def _run(self, req):
         self.calls += 1

@@ -41,8 +41,8 @@ class ChaosExecutor:
     def request_cost(self, req):
         return QUANTUM
 
-    def execute(self, req):
-        return self.env.process(self._run(req))
+    def execute_batch(self, batch, span=None):
+        return self.env.process(self._run(batch[0]))
 
     def _run(self, req):
         i = self.calls
@@ -51,16 +51,6 @@ class ChaosExecutor:
         if self.failures[i % len(self.failures)]:
             raise RuntimeError("chaos")
         return True
-
-
-class BatchChaosExecutor(ChaosExecutor):
-    """Chaos backend that also accepts whole batches (one pass each)."""
-
-    def execute(self, req):
-        return self.execute_batch([req])
-
-    def execute_batch(self, batch):
-        return self.env.process(self._run(batch[0]))
 
 
 arrival_lists = st.lists(
@@ -78,9 +68,19 @@ service_lists = st.lists(
 failure_lists = st.lists(st.booleans(), min_size=1, max_size=8)
 
 
-@given(arrivals=arrival_lists, services=service_lists, failures=failure_lists)
+#: Both slot-acquisition policies over the shared dispatch body: the
+#: global blocking pool, or per-file pools skipped while full.
+slot_policies = st.sampled_from([None, lambda req: req.file])
+
+
+@given(
+    arrivals=arrival_lists,
+    services=service_lists,
+    failures=failure_lists,
+    slot_groups=slot_policies,
+)
 @settings(max_examples=40, deadline=None)
-def test_conservation_exactly_once(arrivals, services, failures):
+def test_conservation_exactly_once(arrivals, services, failures, slot_groups):
     cluster = Cluster.build(n_compute=1, n_storage=1)
     env = cluster.env
     executor = ChaosExecutor(cluster, services, failures)
@@ -94,6 +94,7 @@ def test_conservation_exactly_once(arrivals, services, failures):
         concurrency=2,
         quantum=QUANTUM,
         retry=RetryPolicy(max_attempts=2, backoff=0.01),
+        slot_groups=slot_groups,
     )
 
     def feed():
@@ -104,7 +105,7 @@ def test_conservation_exactly_once(arrivals, services, failures):
                     req_id=i,
                     tenant="t",
                     operator="op",
-                    file="f",
+                    file=f"f{i % 2}",
                     arrival=env.now,
                     deadline=env.now + rel_deadline,
                     cost=cost,
@@ -192,16 +193,17 @@ def _req(req_id, tenant, file="f"):
     failures=failure_lists,
     batch_max=st.integers(min_value=2, max_value=4),
     files=st.lists(st.sampled_from(["f0", "f1"]), min_size=1, max_size=8),
+    slot_groups=slot_policies,
 )
 @settings(max_examples=40, deadline=None)
 def test_conservation_exactly_once_batched(
-    arrivals, services, failures, batch_max, files
+    arrivals, services, failures, batch_max, files, slot_groups
 ):
     """Batched dispatch under chaos (mixed keys, faults, expiries) still
     settles every admitted request exactly once."""
     cluster = Cluster.build(n_compute=1, n_storage=1)
     env = cluster.env
-    executor = BatchChaosExecutor(cluster, services, failures)
+    executor = ChaosExecutor(cluster, services, failures)
     board = SLOBoard(cluster.monitors)
     sched = FairScheduler(
         cluster,
@@ -213,6 +215,7 @@ def test_conservation_exactly_once_batched(
         quantum=QUANTUM,
         retry=RetryPolicy(max_attempts=2, backoff=0.01),
         batch_max=batch_max,
+        slot_groups=slot_groups,
     )
 
     def feed():
@@ -256,7 +259,7 @@ def test_no_starvation_under_batched_backlog(w, backlog, batch_max, shared_key):
     round beyond its weight."""
     wa, wb = w
     cluster = Cluster.build(n_compute=1, n_storage=1)
-    executor = BatchChaosExecutor(cluster, [0.001], [False])
+    executor = ChaosExecutor(cluster, [0.001], [False])
     board = SLOBoard(cluster.monitors)
     sched = FairScheduler(
         cluster,
@@ -322,7 +325,7 @@ def test_serve_error_is_not_retried():
         def request_cost(self, req):
             return QUANTUM
 
-        def execute(self, req):
+        def execute_batch(self, batch, span=None):
             return env.process(self._run())
 
         def _run(self):
