@@ -313,7 +313,12 @@ class ASServer:
         replicate_output: bool,
         stats,
     ):
-        raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        # The run is handed over (adopt=True) and frozen: whole-strip
+        # pieces become the stored strips, one array shared by primary
+        # and replicas.
+        data = np.ascontiguousarray(data)
+        data.flags.writeable = False
+        raw = data.view(np.uint8).reshape(-1)
         offset = first * out_meta.element_size
         layout = out_meta.layout
 
@@ -333,14 +338,14 @@ class ASServer:
 
         jobs = []
         if local_pieces:
-            jobs.append(self.ds.write_pieces(out_meta.name, local_pieces))
+            jobs.append(self.ds.write_pieces(out_meta.name, local_pieces, adopt=True))
         for server, pieces in remote.items():
             payload_bytes = sum(p.data.nbytes for p in pieces)
             jobs.append(
                 self.transport.call(
                     self.name,
                     server,
-                    {"op": "write", "file": out_meta.name, "pieces": pieces},
+                    {"op": "write", "file": out_meta.name, "pieces": pieces, "adopt": True},
                     accounted_wire_size(self.monitors, len(pieces)) + payload_bytes,
                     tag=TAG_PFS,
                 )

@@ -146,7 +146,6 @@ def element_movement_bytes(
 def run_halo_extents(
     layout: Layout,
     file_size: int,
-    server: str,
     run: Tuple[int, int],
     offsets_bytes: np.ndarray,
 ) -> List[Tuple[int, int]]:
@@ -203,18 +202,18 @@ def remote_halo_bytes(
     ``granularity='strip'`` rounds each remote halo up to whole strips
     (the NAS prototype behaviour); ``'exact'`` counts only the bytes in
     the dependence reach.  Strips already held locally (DAS replicas)
-    cost nothing either way.
+    cost nothing either way.  A strip two halo extents touch (a run
+    shorter than the reach) is pulled once, as the helper does.
     """
-    total = 0
-    for offset, length in run_halo_extents(
-        layout, file_size, server, run, offsets_bytes
-    ):
+    total, pulled = 0, set()
+    for offset, length in run_halo_extents(layout, file_size, run, offsets_bytes):
         first = offset // layout.strip_size
         last = (offset + length - 1) // layout.strip_size
         for strip in range(first, last + 1):
-            if layout.holds(server, strip):
+            if layout.holds(server, strip) or strip in pulled:
                 continue
             if granularity == "strip":
+                pulled.add(strip)
                 total += layout.strip_extent_bytes(strip, file_size)
             else:
                 s_lo = strip * layout.strip_size
@@ -230,17 +229,32 @@ def offload_interserver_bytes(
     granularity: str = "strip",
 ) -> int:
     """Total server-to-server dependent-data traffic for one offloaded
-    pass over the whole file under ``layout``."""
+    pass over the whole file under ``layout``.
+
+    By period (:attr:`Layout.period`), exactly: an interior run (its halo
+    clear of the first period and of the file's end) costs what its
+    (server, phase, length) class costs; edge runs are costed directly."""
     if pattern.is_independent:
         return 0
     width = meta.width if any(t.width_coef for t in pattern.terms) else 1
     offsets_bytes = pattern.offsets(width) * meta.element_size
+    period, size, strip = layout.period, meta.size, layout.strip_size
+    # Strips a run's halo reaches before its first and after its last strip.
+    before = max(0, -(int(offsets_bytes.min()) // strip))
+    after = max(0, -(-int(offsets_bytes.max()) // strip))
+    interior_end = size // strip - after
+    costs = {}  # class -> bytes; an edge run is a class of its own
     total = 0
     for server in layout.servers:
-        for run in layout.primary_runs(server, meta.size):
-            total += remote_halo_bytes(
-                layout, meta.size, server, run, offsets_bytes, granularity
-            )
+        for run in layout.primary_runs(server, size):
+            first, last = run
+            interior = first - before >= period and last < interior_end
+            key = (server, first % period, last - first) if interior else run
+            if key not in costs:
+                costs[key] = remote_halo_bytes(
+                    layout, size, server, run, offsets_bytes, granularity
+                )
+            total += costs[key]
     return total
 
 

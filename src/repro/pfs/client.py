@@ -104,30 +104,34 @@ class PFSClient:
         shape when one is recorded.
         """
         meta = self.metadata.lookup(name)
-        raw = np.empty(meta.size, dtype=np.uint8)
-        for strip in range(meta.layout.n_strips(meta.size)):
-            lo = strip * meta.layout.strip_size
-            piece = self._server(meta.layout.primary_server(strip)).strip_bytes(
-                name, strip
-            )
-            raw[lo : lo + piece.nbytes] = piece
+        primaries = self._primaries(meta)
+        raw = np.concatenate(primaries) if primaries else np.empty(0, dtype=np.uint8)
         out = raw.view(meta.dtype)
         if meta.shape is not None:
             out = out.reshape(meta.shape)
         return out
 
     def verify_replicas(self, name: str) -> bool:
-        """True iff every replica strip is byte-identical to its primary."""
+        """True iff every replica strip is byte-identical to its primary
+        (a replica that *is* its primary's array is not compared)."""
         meta = self.metadata.lookup(name)
-        for strip in range(meta.layout.n_strips(meta.size)):
-            replicas = meta.layout.replicas(strip)
-            primary = self._server(replicas[0]).strip_bytes(name, strip)
-            for server in replicas[1:]:
-                if not np.array_equal(
-                    primary, self._server(server).strip_bytes(name, strip)
-                ):
+        primaries = self._primaries(meta)
+        for server in meta.layout.servers:
+            store = self._server(server)
+            for strip in meta.layout.local_strips(server, meta.size):
+                held, primary = store.strip_bytes(name, strip), primaries[strip]
+                if held is not primary and not np.array_equal(held, primary):
                     return False
         return True
+
+    def _primaries(self, meta: FileMeta) -> List[np.ndarray]:
+        """Every strip's primary array, off the closed-form inventories."""
+        primaries: List[np.ndarray] = [None] * meta.layout.n_strips(meta.size)
+        for server in meta.layout.servers:
+            store = self._server(server)
+            for strip in meta.layout.primary_strips(server, meta.size):
+                primaries[strip] = store.strip_bytes(meta.name, strip)
+        return primaries
 
     # -- timed data path -----------------------------------------------------------
     def read(self, name: str, offset: int, length: int, span=NULL_SPAN):

@@ -138,12 +138,10 @@ class DataServer:
                 f"server {self.name!r} does not hold strip {strip} of {file!r}"
             ) from None
 
-    def drop_strip(self, file: str, strip: int) -> np.ndarray:
-        """Remove (and return) a strip — used during redistribution."""
-        data = self.strip_bytes(file, strip)
-        del self._strips[(file, strip)]
+    def drop_strip(self, file: str, strip: int) -> None:
+        """Remove a strip if held — used during redistribution."""
+        self._strips.pop((file, strip), None)
         self.cache.invalidate((file, strip))
-        return data
 
     def drop_file(self, file: str) -> int:
         """Remove all strips of ``file``; returns the count removed."""
@@ -197,7 +195,38 @@ class DataServer:
             self._read_pieces(file, pieces, out, positions), name=f"dsr:{self.name}"
         )
 
+    def lend_strips(self, file: str, strips: List[int]):
+        """Process: disk-read whole ``strips``; value is the stored arrays
+        themselves, flagged read-only, for a new holder to adopt
+        (redistribution) — this server copies before its own next write."""
+        return self.env.process(self._lend_strips(file, strips), name=f"dsr:{self.name}")
+
+    def _lend_strips(self, file: str, strips: List[int]):
+        yield from self._disk_read(
+            file, [ReadPiece(s, 0, self.strip_bytes(file, s).nbytes) for s in strips]
+        )
+        arrays = [self.strip_bytes(file, s) for s in strips]
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
+
     def _read_pieces(self, file: str, pieces: List[ReadPiece], out=None, positions=None):
+        total = yield from self._disk_read(file, pieces)
+        if out is None:
+            out = np.empty(total, dtype=np.uint8)
+            positions = accumulate((p.length for p in pieces), initial=0)
+        for p, pos in zip(pieces, positions):
+            strip = self.strip_bytes(file, p.strip)
+            if p.in_strip + p.length > strip.nbytes:
+                raise PFSError(
+                    f"read past strip end: strip {p.strip} of {file!r}"
+                    f" ({p.in_strip}+{p.length} > {strip.nbytes})"
+                )
+            out[pos : pos + p.length] = strip[p.in_strip : p.in_strip + p.length]
+        return out
+
+    def _disk_read(self, file: str, pieces: List[ReadPiece]):
+        """Charge the disk for the pieces; value is their total bytes."""
         total = sum(p.length for p in pieces)
         assert self.node.disk is not None
         # Page-cache model: bytes in cached strips skip the disk.
@@ -214,24 +243,19 @@ class DataServer:
             self.monitors.counter(f"pfs.cache_hit_bytes.{self.name}").add(total - cold)
         if cold:
             yield self.node.disk.read(cold)
-        if out is None:
-            out = np.empty(total, dtype=np.uint8)
-            positions = accumulate((p.length for p in pieces), initial=0)
-        for p, pos in zip(pieces, positions):
-            strip = self.strip_bytes(file, p.strip)
-            if p.in_strip + p.length > strip.nbytes:
-                raise PFSError(
-                    f"read past strip end: strip {p.strip} of {file!r}"
-                    f" ({p.in_strip}+{p.length} > {strip.nbytes})"
-                )
-            out[pos : pos + p.length] = strip[p.in_strip : p.in_strip + p.length]
-        return out
+        return total
 
-    def write_pieces(self, file: str, pieces: List[WritePiece]):
-        """Process: disk-write the pieces into the strip store."""
-        return self.env.process(self._write_pieces(file, pieces), name=f"dsw:{self.name}")
+    def write_pieces(self, file: str, pieces: List[WritePiece], adopt=False):
+        """Process: disk-write the pieces into the strip store.
 
-    def _write_pieces(self, file: str, pieces: List[WritePiece]):
+        With ``adopt`` the sender hands its buffers over: a whole-strip
+        piece becomes the strip, flagged read-only (a later partial write
+        copies it first).  Otherwise every piece is copied."""
+        return self.env.process(
+            self._write_pieces(file, pieces, adopt), name=f"dsw:{self.name}"
+        )
+
+    def _write_pieces(self, file: str, pieces: List[WritePiece], adopt=False):
         total = sum(p.data.nbytes for p in pieces)
         assert self.node.disk is not None
         yield self.node.disk.write(total)
@@ -244,9 +268,11 @@ class DataServer:
                     f" ({p.in_strip}+{data.nbytes} > {length})"
                 )
             if data.nbytes == length:
-                # The piece is the whole strip: one copy of it is the
-                # server's private array (no zeros or old bytes first).
-                self._strips[(file, p.strip)] = data.copy()
+                # The piece is the whole strip: handed over it is the
+                # strip, else one copy of it is (no zeros or old bytes).
+                if adopt:
+                    data.flags.writeable = False
+                self._strips[(file, p.strip)] = data if adopt else data.copy()
             else:
                 self._strip_array(file, p.strip)[
                     p.in_strip : p.in_strip + data.nbytes
@@ -273,7 +299,9 @@ class DataServer:
             data = yield from self._read_pieces(request["file"], request["pieces"])
             reply = self.transport.reply_gen(msg, data, data.nbytes)
         elif op == "write":
-            total = yield from self._write_pieces(request["file"], request["pieces"])
+            total = yield from self._write_pieces(
+                request["file"], request["pieces"], request.get("adopt", False)
+            )
             reply = self.transport.reply_gen(msg, {"written": total}, ACK_BYTES)
         else:
             raise PFSError(f"unknown PFS op {op!r} from {msg.src!r}")

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from ..errors import PFSError
 from ..hw.cluster import Cluster
-from .dataserver import DataServer, ReadPiece, WritePiece, request_wire_size
+from .dataserver import DataServer, WritePiece, request_wire_size
 from .layout import Layout
 from .metadata import MetadataService
 
@@ -80,10 +78,6 @@ class Redistributor:
         self.servers = servers
         self.monitors = cluster.monitors
 
-    def plan(self, name: str, new_layout: Layout) -> Dict[Tuple[str, str], List[int]]:
-        """Transfers required to reach ``new_layout`` (see :func:`plan_moves`)."""
-        return plan_moves(self.metadata.lookup(name), new_layout)
-
     def redistribute(self, name: str, new_layout: Layout):
         """Process: perform the layout change; value is bytes moved."""
         return self.env.process(
@@ -93,7 +87,7 @@ class Redistributor:
     def _redistribute(self, name: str, new_layout: Layout):
         meta = self.metadata.lookup(name)
         old_layout = meta.layout
-        moves = self.plan(name, new_layout)
+        moves = plan_moves(meta, new_layout)
 
         flows = [
             self.env.process(
@@ -106,37 +100,28 @@ class Redistributor:
             moved += yield flow
 
         # Drop copies the new layout no longer wants.
-        for strip in range(old_layout.n_strips(meta.size)):
-            wanted = set(new_layout.replicas(strip))
-            for server in old_layout.replicas(strip):
-                if server not in wanted and self.servers[server].has_strip(name, strip):
-                    self.servers[server].drop_strip(name, strip)
+        for server in old_layout.servers:
+            store = self.servers[server]
+            wanted = set(new_layout.local_strips(server, meta.size))
+            for strip in old_layout.local_strips(server, meta.size):
+                if strip not in wanted:
+                    store.drop_strip(name, strip)
 
         self.metadata.set_layout(name, new_layout)
         self.monitors.counter("pfs.redistribute_bytes").add(moved)
         return moved
 
     def _flow(self, name: str, src: str, dst: str, strips: List[int]):
-        meta = self.metadata.lookup(name)
-        src_server = self.servers[src]
-        dst_server = self.servers[dst]
-
-        read_pieces = [
-            ReadPiece(s, 0, meta.layout.strip_extent_bytes(s, meta.size))
-            for s in strips
-        ]
-        data = yield src_server.read_pieces(name, read_pieces)
-        total = int(data.nbytes)
+        """Ship ``strips`` from ``src`` to ``dst``: disk read, wire and
+        disk write are charged by size, while the new holder adopts the
+        source's arrays, lent read-only, instead of copying them."""
+        arrays = yield self.servers[src].lend_strips(name, strips)
+        total = sum(a.nbytes for a in arrays)
         if src != dst:
             yield self.transport.send(
                 src, dst, total + request_wire_size(len(strips)), None, tag=TAG_REDIST
             )
-        write_pieces = []
-        pos = 0
-        for piece in read_pieces:
-            write_pieces.append(
-                WritePiece(piece.strip, 0, data[pos : pos + piece.length])
-            )
-            pos += piece.length
-        yield dst_server.write_pieces(name, write_pieces)
+        yield self.servers[dst].write_pieces(
+            name, [WritePiece(s, 0, a) for s, a in zip(strips, arrays)], adopt=True
+        )
         return total

@@ -19,8 +19,7 @@ Three concrete layouts:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import LayoutError
 
@@ -74,6 +73,12 @@ class Layout(ABC):
         self.strip_size = int(strip_size)
 
     # -- core mapping (subclasses implement placement) ----------------------
+    @property
+    @abstractmethod
+    def period(self) -> int:
+        """Strips after which placement repeats: ``replicas(s + period)
+        == replicas(s)`` for every ``s >= period``."""
+
     @property
     def n_servers(self) -> int:
         return len(self.servers)
@@ -191,6 +196,10 @@ class RoundRobinLayout(Layout):
             raise LayoutError(f"negative strip index {strip!r}")
         return strip % len(self.servers)
 
+    @property
+    def period(self) -> int:
+        return len(self.servers)
+
     def primary_strips(self, server: str, file_size: int) -> List[int]:
         """Closed form of the inventory: ``i, i+D, i+2D, ...``."""
         if server not in self.servers:
@@ -216,6 +225,11 @@ class GroupedLayout(Layout):
         if strip < 0:
             raise LayoutError(f"negative strip index {strip!r}")
         return (strip // self.group) % len(self.servers)
+
+    @property
+    def period(self) -> int:
+        """``r * D``, replicated or not (only group 0's head differs)."""
+        return self.group * len(self.servers)
 
     def primary_strips(self, server: str, file_size: int) -> List[int]:
         """Closed form of the inventory: every D-th group of ``r`` strips."""

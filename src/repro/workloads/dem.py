@@ -45,11 +45,11 @@ def fractal_dem(
 
     lo, hi = surface.min(), surface.max()
     if hi > lo:
-        surface = (surface - lo) / (hi - lo)
+        surface -= lo
+        surface /= hi - lo
     surface *= relief
     if tilt:
-        ramp = np.linspace(0.0, tilt * relief, rows)[:, None]
-        surface = surface + ramp
+        surface += np.linspace(0.0, tilt * relief, rows)[:, None]
     return np.ascontiguousarray(surface, dtype=np.float64)
 
 

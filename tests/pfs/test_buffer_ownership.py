@@ -1,12 +1,16 @@
-"""The buffer rule on the PFS: adopt on ingest, copy on write.
+"""The buffer rule on the PFS: adopt on ingest and on hand-over, copy
+on write.
 
 ``PFSClient.ingest`` adopts a C-contiguous array instead of copying it
 (every strip and replica is a read-only view of that one buffer) and
-flags the handed array read-only; the data servers replace a strip with
-a private copy before its first timed write.  So a later write through
-the caller's handle raises instead of silently changing stored bytes,
-and no write through the file system ever reaches the source raster
-(see docs/ARCHITECTURE.md, "Ownership and lifetime").
+flags the handed array read-only; a whole-strip write piece its sender
+hands over (an AS stage output, a redistributed strip) becomes the
+strip, read-only, while client writes are copied; the data servers
+replace a strip with a private copy before its first partial timed
+write.  So a later write through the caller's
+handle raises instead of silently changing stored bytes, and no write
+through the file system ever reaches the source raster (see
+docs/ARCHITECTURE.md, "Ownership and lifetime").
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ActiveStorageClient, Pipeline
+from repro.core import ActiveRequest, ActiveStorageClient, Pipeline
 from repro.hw import Cluster
 from repro.kernels import default_registry
 from repro.pfs import ParallelFileSystem, WritePiece
@@ -158,7 +162,17 @@ class TestCopyOnWrite:
         assert dem.tobytes() == source
         assert np.array_equal(client.collect("dem"), dem)
         assert client.verify_replicas("dem")
-        # A strip shipped to a new holder is that holder's own array.
+        # A strip shipped to a new holder shares the source, read-only ...
+        for s in strips_of(pfs, "dem"):
+            assert not s.flags.writeable and np.shares_memory(s, dem)
+        # ... until a write gives the holder a private copy.
+        patch = np.arange(700, dtype=np.float64)  # partial, whole, partial strip
+        drive(cluster, client.write_elems("dem", 300, patch))
+        assert dem.tobytes() == source
+        expected = dem.reshape(-1).copy()
+        expected[300:1000] = patch
+        assert np.array_equal(client.collect("dem").reshape(-1), expected)
+        assert client.verify_replicas("dem")
         assert any(
             s.flags.writeable and not np.shares_memory(s, dem)
             for s in strips_of(pfs, "dem")
@@ -204,6 +218,67 @@ class TestCopyOnWrite:
         assert strip.flags.writeable and not np.shares_memory(strip, piece)
         piece[:] = 0  # the sender's buffer is the sender's again
         assert (strip == 9).all()
+
+
+class TestHandOver:
+    """A whole-strip piece its sender hands over (``adopt=True``: AS
+    stage outputs, redistributed strips) becomes the strip, read-only,
+    and primary and replicas share one array; any other piece is copied."""
+
+    def test_handed_over_whole_strip_piece_is_adopted_read_only(self, world, drive):
+        cluster, pfs, client = world
+        pfs.metadata.create("out", 8 * KiB, pfs.round_robin(), dtype=np.uint8)
+        server = pfs.servers["s1"]
+        piece = np.full(4 * KiB, 9, dtype=np.uint8)
+
+        drive(cluster, server.write_pieces("out", [WritePiece(1, 0, piece)], adopt=True))
+
+        strip = server.strip_bytes("out", 1)
+        assert np.shares_memory(strip, piece) and not strip.flags.writeable
+        assert server.stored_bytes() == 4 * KiB
+        # A later partial write copies first; the handed buffer is untouched.
+        drive(cluster, server.write_pieces("out", [WritePiece(1, 8, np.zeros(8, np.uint8))]))
+        assert (piece == 9).all() and not np.shares_memory(server.strip_bytes("out", 1), piece)
+
+    def test_client_write_of_a_read_only_array_is_copied(self, world, drive):
+        cluster, pfs, client = world
+        layout = pfs.replicated_grouped(group=2, halo_strips=1)
+        pfs.metadata.create("out", 16 * KiB, layout, dtype=np.uint8)
+        data = np.full(16 * KiB, 9, dtype=np.uint8)
+        data.flags.writeable = False
+
+        drive(cluster, client.write("out", 0, data))
+
+        strips = strips_of(pfs, "out")
+        assert len(strips) > 4  # every strip plus boundary replicas
+        assert not any(np.shares_memory(strip, data) for strip in strips)
+        assert client.verify_replicas("out")
+
+    def test_replicated_stage_output_replicas_share_their_primary(self, world, drive):
+        cluster, pfs, client = world
+        dem = fractal_dem(64, 128, rng=np.random.default_rng(3))
+        client.ingest("dem", dem, pfs.replicated_grouped(group=2, halo_strips=1))
+        output = "out"
+        request = ActiveRequest("gaussian", "dem", output)
+        drive(cluster, ActiveStorageClient(pfs, home="c0").submit(request, force_offload=True))
+        layout = pfs.metadata.lookup(output).layout
+        assert np.array_equal(
+            client.collect(output), default_registry.get("gaussian").reference(dem)
+        )
+        size = dem.nbytes
+        shared = 0
+        for strip in range(layout.n_strips(size)):
+            holders = layout.replicas(strip)
+            primary = pfs.servers[holders[0]].strip_bytes(output, strip)
+            for server in holders[1:]:
+                replica = pfs.servers[server].strip_bytes(output, strip)
+                assert not replica.flags.writeable
+                assert np.shares_memory(replica, primary)
+                shared += 1
+        assert shared > 0 and client.verify_replicas(output)
+        # Sharing changes what is resident, not what is counted.
+        source = pfs.metadata.lookup("dem").layout
+        assert pfs.stored_bytes() == source.storage_bytes(size) + layout.storage_bytes(size)
 
 
 # -- (d) random ingest + random element-range writes == a NumPy model ---------

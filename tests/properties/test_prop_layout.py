@@ -8,7 +8,9 @@ Invariants that must hold for *any* layout, file size and byte range:
   list;
 * placement tables cover every strip of the file;
 * the replicated layout's defining guarantee: each server can reach
-  ``halo_strips`` strips on each side of every primary run locally.
+  ``halo_strips`` strips on each side of every primary run locally;
+* ``period`` is where placement repeats (the predictor costs one run
+  per class of each period; see ``test_prop_predictor.py``).
 """
 
 from hypothesis import given, settings
@@ -148,3 +150,10 @@ def test_storage_bytes_at_least_file_size(layout, file_size):
         assert stored <= bound
     elif not isinstance(layout, ReplicatedGroupedLayout):
         assert stored == file_size
+
+
+@given(layout=layouts(), shift=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_placement_repeats_after_the_stated_period(layout, shift):
+    for strip in range(layout.period, 3 * layout.period):
+        assert layout.replicas(strip + shift * layout.period) == layout.replicas(strip)
