@@ -18,7 +18,9 @@ Three families of drift this catches:
    and inline code spans that consist of a flag, like ``--batch-max N``,
    which must exist in one of them.  Flags belonging to other tools
    (pip, pytest, ``scripts/profile_sim.py``) live in
-   :data:`FOREIGN_FLAGS`.
+   :data:`FOREIGN_FLAGS`.  An inline span naming a flag documents that
+   flag even in a sentence saying it was removed, so a removed flag is
+   named in prose, not as inline code.
 
 3. **Scenario schema.**  docs/SCENARIOS.md must document every key of
    the scenario schema (``repro.scenarios.spec.SCHEMA_SECTIONS``),
