@@ -57,8 +57,6 @@ class PlatformSpec:
             "slope": 6e-9,
         }
     )
-    #: Maximum concurrent flows the switch fabric admits (0 = unlimited).
-    fabric_flow_limit: int = 0
     #: Aggregate bandwidth of the compute<->storage bisection in
     #: bytes/second (0 = non-blocking switch).  When set, every
     #: cross-partition flow also traverses this shared link — the

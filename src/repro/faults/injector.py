@@ -101,9 +101,6 @@ class FaultInjector:
             self.monitors.counter("faults.link_heals").add()
         else:  # pragma: no cover - FaultEvent validates kinds
             raise FaultError(f"unknown fault kind {kind!r}")
-        self.monitors.log(
-            "faults", event.kind, target=event.target, peer=event.peer or ""
-        )
         if self.monitors.tracer:
             self.monitors.tracer.instant(
                 f"fault.{event.kind}",

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 from ..config import PlatformSpec, SimConfig
 from ..errors import SimulationError
-from ..net import Collectives, Fabric, Transport
+from ..net import Fabric, Transport
 from ..sim import Environment, MonitorHub, RandomStreams
 from .node import KIND_COMPUTE, KIND_STORAGE, Node
 
@@ -37,11 +37,10 @@ class Cluster:
         self.sim_config = sim_config
         self.monitors = monitors
         self.rand = RandomStreams(sim_config.seed)
-        self.fabric = Fabric(env, flow_limit=spec.fabric_flow_limit)
+        self.fabric = Fabric(env)
         if spec.bisection_bandwidth > 0:
             self.fabric.set_bisection_bandwidth(spec.bisection_bandwidth)
         self.transport = Transport(env, self.fabric, monitors, spec.rpc_overhead)
-        self.collectives = Collectives(self.transport)
         self._nodes: Dict[str, Node] = {}
 
     # -- construction -----------------------------------------------------------

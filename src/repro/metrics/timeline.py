@@ -6,9 +6,7 @@ become detached :class:`~repro.obs.span.Span` objects (see
 :func:`repro.obs.spans_from_monitor_trace`), and a :class:`Timeline`
 is nothing more than their projection onto per-``(node, kind)`` busy
 intervals; the interval algebra (merging, total measure) lives in
-:mod:`repro.obs.span` and is shared with the tracer.  The public API —
-:class:`Timeline`, :func:`render_gantt`, :func:`utilization_table` —
-is unchanged.
+:mod:`repro.obs.span` and is shared with the tracer.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
-"""Simulated network fabric: NICs, switch, transport and collectives."""
+"""Simulated network fabric: NICs, switch and point-to-point transport."""
 
-from .collective import Collectives
 from .fabric import Fabric
 from .message import (
     TAG_CONTROL,
@@ -15,7 +14,6 @@ from .nic import NIC
 from .transport import Transport
 
 __all__ = [
-    "Collectives",
     "Fabric",
     "Message",
     "NIC",

@@ -3,16 +3,16 @@
 High-end clusters interconnect compute and storage partitions through a
 switched fabric whose bisection bandwidth normally exceeds any single
 NIC, so the default fabric is non-blocking (it only adds the port
-latency).  A ``flow_limit`` can be set to model an oversubscribed
-switch for ablation experiments.
+latency).  A bisection bandwidth can be set to model an oversubscribed
+switch (the ``ext-oversub`` experiment).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Set
 
 from ..errors import LinkDownError, NetworkError, RoutingError
-from ..sim import Environment, Resource
+from ..sim import Environment
 from .fluid import FluidScheduler
 from .nic import NIC
 
@@ -33,23 +33,15 @@ class Fabric:
     leaf switches) is unaffected.
     """
 
-    def __init__(self, env: Environment, flow_limit: int = 0):
+    def __init__(self, env: Environment):
         self.env = env
         self._nics: Dict[str, NIC] = {}
         self._partitions: Dict[str, str] = {}
         self.fluid = FluidScheduler(env)
         self._bisection = False
-        self._flow_limit = int(flow_limit)
-        self._flow_tokens: Optional[Resource] = (
-            Resource(env, capacity=flow_limit) if flow_limit > 0 else None
-        )
         #: Cut node pairs (unordered): traffic between them fails until
         #: healed.  Fault injection for partitions and flapping links.
         self._cuts: Set[FrozenSet[str]] = set()
-
-    @property
-    def flow_limit(self) -> int:
-        return self._flow_limit
 
     def attach(self, nic: NIC, partition: str = "") -> None:
         if nic.owner in self._nics:
@@ -107,16 +99,6 @@ class Fabric:
     def nodes(self):
         return list(self._nics)
 
-    def admit(self):
-        """Request a fabric flow token (or None when non-blocking)."""
-        if self._flow_tokens is None:
-            return None
-        return self._flow_tokens.request()
-
-    def release(self, token) -> None:
-        if token is not None and self._flow_tokens is not None:
-            self._flow_tokens.release(token)
-
     def __contains__(self, node: str) -> bool:
         return node in self._nics
 
@@ -124,4 +106,4 @@ class Fabric:
         return len(self._nics)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Fabric nodes={len(self._nics)} flow_limit={self._flow_limit}>"
+        return f"<Fabric nodes={len(self._nics)} bisection={self._bisection}>"

@@ -198,16 +198,10 @@ class Transport:
         if not self.fabric.link_up(msg.src, msg.dst):
             raise LinkDownError(f"link {msg.src!r}<->{msg.dst!r} is cut")
 
-        flow_token = self.fabric.admit()
-        try:
-            if flow_token is not None:
-                yield flow_token
-            yield self.env.timeout(src_nic.latency)
-            if not dst_nic.is_up:  # went down while the head was in flight
-                raise NodeDownError(f"destination node {msg.dst!r} is down")
-            yield self.fabric.transfer(msg.src, msg.dst, msg.size)
-        finally:
-            self.fabric.release(flow_token)
+        yield self.env.timeout(src_nic.latency)
+        if not dst_nic.is_up:  # went down while the head was in flight
+            raise NodeDownError(f"destination node {msg.dst!r} is down")
+        yield self.fabric.transfer(msg.src, msg.dst, msg.size)
 
         src_nic.account_tx(msg.size)
         dst_nic.account_rx(msg.size)
@@ -223,8 +217,6 @@ class Transport:
         if c is None:
             c = self._tag_counters[msg.tag] = monitors.counter(f"net.tag.{msg.tag}")
         c.add(msg.size)
-        if monitors.trace_enabled:
-            monitors.log("net", f"{msg.src}->{msg.dst}", size=msg.size, tag=msg.tag)
         yield self.mailbox(msg.dst).put(msg)
         return msg
 

@@ -141,35 +141,19 @@ class PFSClient:
         )
 
     def _read(self, name: str, offset: int, length: int, span=NULL_SPAN):
-        out = yield from self._read_scattered(name, [(offset, length)], span=span)
-        return out
-
-    def read_scattered(self, name: str, ranges, span=NULL_SPAN):
-        """Process: read several (offset, length) byte ranges in one
-        batched exchange (one request per touched server); value is the
-        concatenation of the ranges, uint8."""
-        return self.env.process(
-            self._read_scattered(name, list(ranges), span=span),
-            name=f"pfs-read-scattered:{self.home}",
-        )
-
-    def _read_scattered(self, name: str, ranges, span=NULL_SPAN):
         meta = self.metadata.lookup(name)
-        total = 0
+        if offset < 0 or offset + length > meta.size:
+            raise PFSError(
+                f"read past EOF of {name!r}: ({offset}, {length})"
+                f" vs size {meta.size}"
+            )
         positioned = []  # (output position, StripExtent)
-        for offset, length in ranges:
-            if offset < 0 or offset + length > meta.size:
-                raise PFSError(
-                    f"read past EOF of {name!r}: ({offset}, {length})"
-                    f" vs size {meta.size}"
-                )
-            for e in meta.layout.map_extent(offset, length):
-                if not self.cluster.node(e.server).is_up:
-                    e = self._failover(meta.layout, e)
-                positioned.append((total + (e.offset - offset), e))
-            total += length
+        for e in meta.layout.map_extent(offset, length):
+            if not self.cluster.node(e.server).is_up:
+                e = self._failover(meta.layout, e)
+            positioned.append((e.offset - offset, e))
 
-        out = np.empty(total, dtype=np.uint8)
+        out = np.empty(length, dtype=np.uint8)
         if self.recovery is not None:
             yield from self._fill_positioned_ft(
                 meta, name, positioned, out, self.recovery, frozenset(), span=span
@@ -225,54 +209,6 @@ class PFSClient:
             reply = yield call
             self._scatter_reply(reply.payload, group, out)
         return out
-
-    def read_region(
-        self,
-        name: str,
-        row0: int,
-        col0: int,
-        n_rows: int,
-        n_cols: int,
-        span=NULL_SPAN,
-    ):
-        """Process: read a rectangular sub-raster; value is a 2-D array
-        of the file's dtype with shape ``(n_rows, n_cols)``.
-
-        The GIS access pattern: a map window touches a slice of every
-        covered row.  All row segments go out as one batched scattered
-        read, not ``n_rows`` separate requests."""
-        return self.env.process(
-            self._read_region(name, row0, col0, n_rows, n_cols, span=span),
-            name=f"pfs-read-region:{self.home}",
-        )
-
-    def _read_region(
-        self,
-        name: str,
-        row0: int,
-        col0: int,
-        n_rows: int,
-        n_cols: int,
-        span=NULL_SPAN,
-    ):
-        meta = self.metadata.lookup(name)
-        width = meta.width  # raises if the file has no raster shape
-        height = meta.shape[0]  # type: ignore[index]
-        if not (
-            0 <= row0 and row0 + n_rows <= height and 0 <= col0
-            and col0 + n_cols <= width and n_rows > 0 and n_cols > 0
-        ):
-            raise PFSError(
-                f"region ({row0},{col0})+({n_rows}x{n_cols}) outside raster"
-                f" {meta.shape} of {name!r}"
-            )
-        e_size = meta.element_size
-        ranges = [
-            (((row0 + r) * width + col0) * e_size, n_cols * e_size)
-            for r in range(n_rows)
-        ]
-        raw = yield from self._read_scattered(name, ranges, span=span)
-        return raw.view(meta.dtype).reshape(n_rows, n_cols)
 
     def read_elems(self, name: str, first: int, count: int):
         """Process: read ``count`` elements from element index ``first``;

@@ -192,6 +192,14 @@ class _Loader:
             )
         return tuple(value)
 
+    def unique(self, names, path: str, what: str) -> None:
+        """Reject the first name that occurs twice in ``names``."""
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise self.fail(path, f"duplicate {what} {name!r}")
+            seen.add(name)
+
 
 def _load(data: dict, origin: str) -> ScenarioSpec:
     ld = _Loader(data, origin)
@@ -268,6 +276,7 @@ def _load_topology(ld: _Loader, section: dict) -> TopologySpec:
         choices=INGEST_POLICIES,
     )
     files = ld.name_list(section, "files", "topology", default=defaults.files)
+    ld.unique(files, "topology.files", "file name")
     operator = ld.text(section, "operator", "topology", default=defaults.operator)
     if operator not in default_registry:
         raise ld.fail(
@@ -338,10 +347,7 @@ def _load_workload(ld: _Loader, section: dict, topology: TopologySpec):
     tenants = tuple(
         _load_tenant(ld, entry, i, topology) for i, entry in enumerate(raw_tenants)
     )
-    names = [t.name for t in tenants]
-    if len(set(names)) != len(names):
-        dup = next(n for n in names if names.count(n) > 1)
-        raise ld.fail("workload.tenants", f"duplicate tenant name {dup!r}")
+    ld.unique([t.name for t in tenants], "workload.tenants", "tenant name")
     return duration, deadline, load, ramp, tenants
 
 

@@ -369,12 +369,6 @@ class AutoscaleController:
         self._last_action_at = self.env.now
         self.monitors.counter(f"autoscale.scale_{direction}s").add()
         self.monitors.counter("autoscale.moved_bytes").add(moved_total)
-        self.monitors.log(
-            "autoscale",
-            f"scale-{direction}",
-            target=str(target),
-            peer=reason,
-        )
         rspan.finish(moved_bytes=moved_total)
         if tracer:
             tracer.instant(

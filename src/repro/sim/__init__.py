@@ -5,8 +5,8 @@ Public surface:
 * :class:`Environment` — clock + event queue + process scheduler.
 * :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf`.
 * :class:`Process` (returned by ``env.process``), interruptible.
-* :class:`Resource`, :class:`PriorityResource`, :class:`Container`,
-  :class:`Store`, :class:`FilterStore`.
+* :class:`Resource`, :class:`ReadWriteLock`, :class:`Store`,
+  :class:`FilterStore`.
 * :class:`MonitorHub` for counters/gauges/traces.
 * :class:`RandomStreams` for reproducible named RNG substreams.
 """
@@ -25,9 +25,7 @@ from .events import (
 from .monitor import Counter, Gauge, MonitorHub, TraceRecord
 from .rand import RandomStreams
 from .resources import (
-    Container,
     FilterStore,
-    PriorityResource,
     ReadWriteLock,
     Request,
     Resource,
@@ -40,14 +38,12 @@ __all__ = [
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "Counter",
     "Environment",
     "Event",
     "FilterStore",
     "Gauge",
     "MonitorHub",
-    "PriorityResource",
     "Process",
     "RWClaim",
     "RandomStreams",

@@ -146,14 +146,12 @@ class Event:
         """Lazy cancellation: detach every callback so processing this
         event at its timestamp is a no-op pop.
 
-        This is the engine's answer to dead deadlines (the
-        :class:`~repro.sim.resources.PriorityResource` tombstone idea
-        pushed down into the event queue): a per-request ``rpc_timeout``
-        that lost its race would otherwise still walk its callback list
-        — typically a condition ``_check`` — when its timestamp
-        arrives.  Cancelling empties the list in place; the heap entry
-        stays (removal would be O(n)) but its dispatch costs nothing
-        and a cancelled *failure* is implicitly defused.
+        This is the engine's answer to dead deadlines: a per-request
+        ``rpc_timeout`` that lost its race would otherwise still walk
+        its callback list — typically a condition ``_check`` — when its
+        timestamp arrives.  Cancelling empties the list in place; the
+        heap entry stays (removal would be O(n)) but its dispatch costs
+        nothing and a cancelled *failure* is implicitly defused.
 
         Only cancel an event that no process will wait on again.  The
         simulated clock still advances through the cancelled timestamp

@@ -2,9 +2,6 @@
 
 * :class:`Resource` — capacity-limited resource with FIFO queueing
   (models NIC ports, disk arms, CPU cores).
-* :class:`PriorityResource` — like :class:`Resource` but requests carry
-  a priority (lower value served first).
-* :class:`Container` — continuous quantity (models buffer space).
 * :class:`Store` / :class:`FilterStore` — queues of Python objects
   (model mailboxes and RPC channels).
 
@@ -19,12 +16,11 @@ context-manager protocol so the idiomatic form is::
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable, List, Optional
 
 from ..errors import SimulationError
 from .core import Environment
-from .events import PENDING, URGENT, Event
+from .events import PENDING, Event
 
 
 class Request(Event):
@@ -53,21 +49,6 @@ class Request(Event):
     def cancel(self) -> None:
         """Release the slot (if granted) or withdraw from the queue."""
         self.resource.release(self)
-
-
-class PriorityRequest(Request):
-    """A request with an explicit priority; FIFO among equal priorities."""
-
-    __slots__ = ("priority", "seq", "withdrawn")
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0):
-        self.priority = priority
-        self.seq = resource._next_seq()
-        self.withdrawn = False
-        super().__init__(resource)
-
-    def __lt__(self, other: "PriorityRequest") -> bool:
-        return (self.priority, self.seq) < (other.priority, other.seq)
 
 
 class Resource:
@@ -126,71 +107,6 @@ class Resource:
             f"<{type(self).__name__} users={len(self.users)}/{self._capacity}"
             f" queued={len(self.queue)}>"
         )
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is ordered by request priority.
-
-    Cancelling a *queued* request tombstones it (lazy deletion) instead
-    of removing it and re-heapifying: cancellation is O(1), and the dead
-    entry is skipped — and discarded — when a pop reaches it.  The heap
-    is compacted when tombstones dominate, bounding its memory at ~2x
-    the live queue.
-    """
-
-    #: Compact when tombstones exceed this many AND the live fraction
-    #: drops below half (small heaps never bother).
-    _COMPACT_MIN_DEAD = 64
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._seq = 0
-        self._dead = 0
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, req: Request) -> None:
-        if len(self.users) < self._capacity:
-            self.users.append(req)
-            req.succeed()
-        else:
-            heapq.heappush(self.queue, req)  # type: ignore[arg-type]
-
-    def _grant_next(self) -> None:
-        while self.queue and len(self.users) < self._capacity:
-            nxt = heapq.heappop(self.queue)  # type: ignore[arg-type]
-            if nxt.withdrawn:
-                self._dead -= 1
-                continue
-            if nxt._value is not PENDING:
-                continue  # stale (already triggered) request
-            self.users.append(nxt)
-            nxt.succeed()
-
-    def release(self, req: Request) -> None:
-        if req in self.users:
-            self.users.remove(req)
-            self._grant_next()
-        elif req._value is PENDING and not getattr(req, "withdrawn", True):
-            # Lazy deletion: mark and leave in place; pops skip it.
-            # (A triggered request is no longer queued — nothing to do.)
-            req.withdrawn = True
-            self._dead += 1
-            if (
-                self._dead > self._COMPACT_MIN_DEAD
-                and self._dead * 2 > len(self.queue)
-            ):
-                self._compact()
-
-    def _compact(self) -> None:
-        self.queue = [r for r in self.queue if not r.withdrawn]
-        heapq.heapify(self.queue)  # type: ignore[arg-type]
-        self._dead = 0
 
 
 class RWClaim(Event):
@@ -302,74 +218,6 @@ class ReadWriteLock:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         holder = "W" if self._writer else f"R{self._readers}"
         return f"<ReadWriteLock {holder} queued={len(self._queue)}>"
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise SimulationError(f"put amount must be positive, got {amount!r}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_waiters.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise SimulationError(f"get amount must be positive, got {amount!r}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_waiters.append(self)
-        container._trigger()
-
-
-class Container:
-    """A continuous stock of some quantity with optional capacity bound."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf"), init: float = 0.0):
-        if capacity <= 0:
-            raise SimulationError("container capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise SimulationError("initial level must lie within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._put_waiters: List[ContainerPut] = []
-        self._get_waiters: List[ContainerGet] = []
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._put_waiters:
-                put = self._put_waiters[0]
-                if self._level + put.amount <= self.capacity:
-                    self._put_waiters.pop(0)
-                    self._level += put.amount
-                    put.succeed()
-                    progress = True
-            if self._get_waiters:
-                get = self._get_waiters[0]
-                if self._level >= get.amount:
-                    self._get_waiters.pop(0)
-                    self._level -= get.amount
-                    get.succeed()
-                    progress = True
 
 
 class StorePut(Event):

@@ -66,6 +66,17 @@ class TestTimedReadWrite:
         assert np.array_equal(got, raw[100:9100])
         assert cl.env.now > 0  # it took simulated time
 
+    def test_batches_one_request_per_server(self, loaded, drive):
+        pfs, cl, client, dem = loaded
+
+        def main():
+            return (yield client.read("dem", 0, dem.nbytes))
+
+        got = drive(cl, cl.env.process(main()))
+        assert np.array_equal(got, dem.view(np.uint8).reshape(-1))
+        # 8 strips round-robin on 4 servers, 2 each -> exactly 4 PFS requests.
+        assert cl.monitors.counter("net.tag.pfs").events == 4
+
     def test_read_past_eof_rejected(self, loaded, drive):
         pfs, cl, client, dem = loaded
 

@@ -92,68 +92,6 @@ def test_overwrite_roundtrip(params, seed2):
     assert client.verify_replicas("f")
 
 
-@given(
-    params=worlds(),
-    range_seed=st.integers(0, 2**16),
-    n_ranges=st.integers(2, 5),
-)
-@settings(max_examples=40, deadline=None)
-def test_batched_read_same_bytes_fewer_headers(params, range_seed, n_ranges):
-    """Byte conservation of the batched exchange: one scattered read
-    moves exactly the same payload and extent descriptors as the
-    equivalent separate reads, and strictly fewer request headers
-    whenever two ranges touch the same server."""
-    cluster, pfs, data = build(*params)
-    client = pfs.client("c0")
-    meta = pfs.metadata.lookup("f")
-    raw = data.view(np.uint8).reshape(-1)
-    rng = np.random.default_rng(range_seed)
-    ranges = []
-    for _ in range(n_ranges):
-        offset = int(rng.integers(0, raw.size))
-        length = int(rng.integers(1, raw.size - offset + 1))
-        ranges.append((offset, length))
-
-    monitors = cluster.monitors
-
-    def wire():
-        return (
-            monitors.counter("pfs.rpc.header_bytes").value,
-            monitors.counter("pfs.rpc.extent_desc_bytes").value,
-        )
-
-    marks = {}
-
-    def main():
-        parts = []
-        for offset, length in ranges:
-            parts.append((yield client.read("f", offset, length)))
-        marks["mid"] = wire()
-        batched = yield client.read_scattered("f", ranges)
-        marks["end"] = wire()
-        return np.concatenate(parts), batched
-
-    start = wire()
-    unbatched, batched = cluster.run(until=cluster.env.process(main()))
-
-    expected = np.concatenate([raw[o : o + n] for o, n in ranges])
-    assert np.array_equal(unbatched, expected)
-    assert np.array_equal(batched, expected)
-
-    un_hdr, un_ext = (m - s for m, s in zip(marks["mid"], start))
-    ba_hdr, ba_ext = (e - m for e, m in zip(marks["end"], marks["mid"]))
-    # Same payload => same per-extent descriptors either way.
-    assert ba_ext == un_ext
-    # Headers collapse to one per *distinct* touched server.
-    per_range = [
-        {e.server for e in meta.layout.map_extent(o, n)} for o, n in ranges
-    ]
-    if sum(len(s) for s in per_range) > len(set().union(*per_range)):
-        assert ba_hdr < un_hdr
-    else:
-        assert ba_hdr == un_hdr
-
-
 @given(params=worlds(), group2=st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
 def test_redistribution_preserves_bytes(params, group2):

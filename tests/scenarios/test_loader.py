@@ -90,6 +90,13 @@ class TestTopology:
             "exceeds the 4 storage servers",
         )
 
+    def test_duplicate_file_names(self):
+        rejects(
+            base_doc(topology={"files": ["dem_a", "dem_a"]}),
+            "topology.files",
+            "duplicate file name 'dem_a'",
+        )
+
 
 class TestTenants:
     def test_unknown_file_names_the_declared_files(self):

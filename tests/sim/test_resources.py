@@ -1,9 +1,9 @@
-"""Unit tests for Resource, PriorityResource, Container, Store."""
+"""Unit tests for Resource, Store and FilterStore."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Container, FilterStore, PriorityResource, Resource, Store
+from repro.sim import FilterStore, Resource, Store
 
 
 class TestResource:
@@ -98,212 +98,6 @@ class TestResource:
         env.process(second())
         env.run()
         assert ("second-in", 5) in log
-
-
-class TestPriorityResource:
-    def test_lower_priority_value_first(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder():
-            with res.request(priority=0) as req:
-                yield req
-                yield env.timeout(1)
-
-        def user(name, prio):
-            with res.request(priority=prio) as req:
-                yield req
-                order.append(name)
-
-        env.process(holder())
-
-        def spawn():
-            yield env.timeout(0.1)
-            env.process(user("low", 5))
-            env.process(user("high", 1))
-            env.process(user("mid", 3))
-
-        env.process(spawn())
-        env.run()
-        assert order == ["high", "mid", "low"]
-
-    def test_fifo_among_equal_priorities(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder():
-            with res.request(priority=0) as req:
-                yield req
-                yield env.timeout(1)
-
-        def user(name):
-            with res.request(priority=2) as req:
-                yield req
-                order.append(name)
-
-        env.process(holder())
-
-        def spawn():
-            yield env.timeout(0.1)
-            for name in "abc":
-                env.process(user(name))
-
-        env.process(spawn())
-        env.run()
-        assert order == list("abc")
-
-    def test_cancellation_preserves_grant_order(self, env):
-        """Lazily-deleted (tombstoned) requests must not disturb the
-        priority/FIFO order of the survivors."""
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder():
-            with res.request(priority=0) as req:
-                yield req
-                yield env.timeout(1)
-
-        def user(name, prio):
-            with res.request(priority=prio) as req:
-                yield req
-                order.append(name)
-
-        def quitter(prio):
-            req = res.request(priority=prio)
-            yield env.timeout(0.2)
-            req.cancel()
-
-        env.process(holder())
-
-        def spawn():
-            yield env.timeout(0.1)
-            # Interleave survivors and quitters across priorities.
-            env.process(user("low-1", 5))
-            env.process(quitter(1))
-            env.process(user("high-1", 1))
-            env.process(quitter(3))
-            env.process(user("mid-1", 3))
-            env.process(user("high-2", 1))
-            env.process(quitter(5))
-            env.process(user("low-2", 5))
-
-        env.process(spawn())
-        env.run()
-        assert order == ["high-1", "high-2", "mid-1", "low-1", "low-2"]
-        assert res._dead == 0  # every tombstone was discarded on pop
-
-    def test_mass_cancellation_compacts_and_keeps_order(self, env):
-        """Past the tombstone threshold the heap is compacted in place;
-        grant order is still priority-then-FIFO over the survivors."""
-        res = PriorityResource(env, capacity=1)
-        n = 210  # two thirds doomed: enough to cross the compaction bar
-        order = []
-
-        def holder():
-            with res.request(priority=0) as req:
-                yield req
-                yield env.timeout(1)
-
-        def user(name, prio):
-            with res.request(priority=prio) as req:
-                yield req
-                order.append(name)
-
-        doomed = []
-
-        def spawn():
-            yield env.timeout(0.1)
-            for i in range(n):
-                if i % 3:
-                    doomed.append(res.request(priority=i % 7))
-                else:
-                    env.process(user(i, prio=i % 7))
-
-        survivors = [i for i in range(n) if i % 3 == 0]
-
-        def cancel_all():
-            yield env.timeout(0.2)
-            assert len(res.queue) == n
-            for req in doomed:
-                req.cancel()
-            # The tombstone threshold was crossed mid-way and the heap
-            # compacted: the queue shrank, and every entry is now either
-            # live or one of the post-compaction tombstones.
-            assert len(res.queue) < n
-            assert res._dead < len(doomed)
-            assert len(res.queue) == len(survivors) + res._dead
-
-        env.process(holder())
-        env.process(spawn())
-        env.process(cancel_all())
-        env.run()
-        assert order == sorted(survivors, key=lambda i: (i % 7, i))
-        assert res._dead == 0  # the stragglers were discarded on pop
-
-    def test_double_release_of_granted_request_is_inert(self, env):
-        """Releasing an already-released token must not tombstone it or
-        corrupt the dead counter."""
-        res = PriorityResource(env, capacity=1)
-
-        def user():
-            req = res.request(priority=1)
-            yield req
-            res.release(req)
-            res.release(req)  # idempotent
-
-        p = env.process(user())
-        env.run(until=p)
-        assert res._dead == 0
-        assert not res.users and not res.queue
-
-
-class TestContainer:
-    def test_initial_level_validated(self, env):
-        with pytest.raises(SimulationError):
-            Container(env, capacity=10, init=11)
-
-    def test_get_blocks_until_put(self, env):
-        tank = Container(env, capacity=100)
-        log = []
-
-        def consumer():
-            yield tank.get(5)
-            log.append(("got", env.now))
-
-        def producer():
-            yield env.timeout(3)
-            yield tank.put(5)
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert log == [("got", 3)]
-        assert tank.level == 0
-
-    def test_put_blocks_at_capacity(self, env):
-        tank = Container(env, capacity=10, init=8)
-        log = []
-
-        def producer():
-            yield tank.put(5)
-            log.append(("put-done", env.now))
-
-        def consumer():
-            yield env.timeout(2)
-            yield tank.get(4)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert log == [("put-done", 2)]
-        assert tank.level == 9
-
-    def test_nonpositive_amounts_rejected(self, env):
-        tank = Container(env, capacity=10, init=5)
-        with pytest.raises(SimulationError):
-            tank.put(0)
-        with pytest.raises(SimulationError):
-            tank.get(-1)
 
 
 class TestStore:
