@@ -32,8 +32,7 @@ from ..kernels.base import KernelRegistry, default_registry
 from ..kernels.reductions import ReductionRegistry, default_reductions
 from ..kernels.stencil import Window, window_bounds
 from ..net.message import FaultNotice, Message
-from ..pfs.dataserver import ReadPiece, WritePiece, accounted_wire_size
-from ..pfs.dataserver import TAG_PFS
+from ..pfs.dataserver import TAG_PFS, ReadPiece, accounted_wire_size, fan_out
 from ..pfs.datafile import FileMeta
 from ..pfs.filesystem import ParallelFileSystem
 from ..pfs.localio import LocalFile
@@ -232,33 +231,27 @@ class ASServer:
     # -- window gathering ----------------------------------------------------------------
     def _gather_window(self, meta: FileMeta, offset: int, length: int, stats):
         """Assemble ``[offset, offset+length)`` of ``meta`` into a buffer:
-        local strips via the disk, missing strips from their owners."""
-        layout = meta.layout
+        local runs via the disk, missing strips from their owners."""
         out = np.empty(length, dtype=np.uint8)
 
         local_pieces: List[ReadPiece] = []
         local_positions: List[int] = []  # where each piece lands in ``out``
-        remote_strips: Dict[str, Dict[int, List[tuple]]] = {}
-
-        for e in layout.map_extent(offset, length):
-            pos = e.offset - offset
-            if self.ds.has_strip(meta.name, e.strip):
+        remote: Dict[str, list] = {}  # owner -> [(position, extent)]
+        for e in meta.layout.map_extent(offset, length, prefer=self.name):
+            if e.server == self.name:
                 local_pieces.append(ReadPiece(e.strip, e.in_strip, e.length))
-                local_positions.append(pos)
+                local_positions.append(e.offset - offset)
             else:
-                owner = layout.primary_server(e.strip)
-                remote_strips.setdefault(owner, {}).setdefault(e.strip, []).append(
-                    (pos, e.in_strip, e.length)
-                )
+                remote.setdefault(e.server, []).append((e.offset - offset, e))
 
         jobs = []
         if local_pieces:
-            # Gathered in place: strip -> window buffer, one copy.
+            # Gathered in place: run -> window buffer, one copy.
             jobs.append(
                 self.ds.read_pieces(meta.name, local_pieces, out, local_positions)
             )
-        for owner, strips in remote_strips.items():
-            jobs.append(self.env.process(self._remote_job(meta, owner, strips, out, stats)))
+        for owner, group in remote.items():
+            jobs.append(self.env.process(self._remote_job(meta, owner, group, out, stats)))
         for job in contain_failures(jobs):
             yield job
         local_bytes = sum(p.length for p in local_pieces)
@@ -266,25 +259,22 @@ class ASServer:
         self.monitors.counter("as.halo_bytes_local").add(local_bytes)
         return out
 
-    def _remote_job(self, meta: FileMeta, owner: str, strips, out: np.ndarray, stats):
-        """Fetch the needed parts of ``strips`` from ``owner``."""
+    def _remote_job(self, meta: FileMeta, owner: str, group, out: np.ndarray, stats):
+        """Fetch the needed ``(position, extent)`` pairs from ``owner``."""
         if self.halo_granularity == "strip":
-            # Pull each neighbour strip in full, then slice what we need.
+            # Pull the neighbour strips in full, then slice what we need.
+            run_bytes = meta.layout.run_bytes
             pieces = [
-                ReadPiece(s, 0, meta.layout.strip_extent_bytes(s, meta.size))
-                for s in sorted(strips)
+                ReadPiece(e.strip, 0, run_bytes(e.strip, e.strip + e.n_strips - 1, meta.size))
+                for _, e in group
             ]
         else:
-            pieces = [
-                ReadPiece(s, in_strip, ln)
-                for s in sorted(strips)
-                for (_pos, in_strip, ln) in strips[s]
-            ]
+            pieces = [ReadPiece(e.strip, e.in_strip, e.length) for _, e in group]
         reply = yield from self.transport.call_gen(
             self.name,
             owner,
             {"op": "read", "file": meta.name, "pieces": pieces},
-            accounted_wire_size(self.monitors, len(pieces)),
+            accounted_wire_size(self.monitors, sum(e.n_strips for _, e in group)),
             tag=TAG_PFS,
         )
         data = reply.payload
@@ -292,15 +282,9 @@ class ASServer:
         self.monitors.counter("as.halo_bytes_remote").add(int(data.nbytes))
 
         cursor = 0
-        for piece in pieces:
-            chunk = data[cursor : cursor + piece.length]
-            for (pos, in_strip, ln) in strips[piece.strip]:
-                if (
-                    in_strip >= piece.in_strip
-                    and in_strip + ln <= piece.in_strip + piece.length
-                ):
-                    rel = in_strip - piece.in_strip
-                    out[pos : pos + ln] = chunk[rel : rel + ln]
+        for piece, (pos, e) in zip(pieces, group):
+            rel = cursor + e.in_strip - piece.in_strip
+            out[pos : pos + e.length] = data[rel : rel + e.length]
             cursor += piece.length
         return None
 
@@ -313,40 +297,27 @@ class ASServer:
         replicate_output: bool,
         stats,
     ):
-        # The run is handed over (adopt=True) and frozen: whole-strip
-        # pieces become the stored strips, one array shared by primary
-        # and replicas.
+        # The run is handed over (adopt=True) and frozen: its whole-strip
+        # runs become the stored runs, one array shared by primary and
+        # replicas.
         data = np.ascontiguousarray(data)
         data.flags.writeable = False
         raw = data.view(np.uint8).reshape(-1)
         offset = first * out_meta.element_size
-        layout = out_meta.layout
-
-        local_pieces: List[WritePiece] = []
-        remote: Dict[str, List[WritePiece]] = {}
-        for e in layout.map_extent(offset, raw.nbytes):
-            piece_data = raw[e.offset - offset : e.offset - offset + e.length]
-            holders = layout.replicas(e.strip) if replicate_output else [
-                layout.primary_server(e.strip)
-            ]
-            for server in holders:
-                piece = WritePiece(e.strip, e.in_strip, piece_data)
-                if server == self.name:
-                    local_pieces.append(piece)
-                else:
-                    remote.setdefault(server, []).append(piece)
+        targets = fan_out(out_meta.layout, offset, raw, replicate_output)
+        local = targets.pop(self.name, None)
 
         jobs = []
-        if local_pieces:
-            jobs.append(self.ds.write_pieces(out_meta.name, local_pieces, adopt=True))
-        for server, pieces in remote.items():
-            payload_bytes = sum(p.data.nbytes for p in pieces)
+        if local is not None:
+            jobs.append(self.ds.write_pieces(out_meta.name, local[0], adopt=True))
+        for server, (pieces, n_strips) in targets.items():
+            payload_bytes = sum(p.length for p in pieces)
             jobs.append(
                 self.transport.call(
                     self.name,
                     server,
                     {"op": "write", "file": out_meta.name, "pieces": pieces, "adopt": True},
-                    accounted_wire_size(self.monitors, len(pieces)) + payload_bytes,
+                    accounted_wire_size(self.monitors, n_strips) + payload_bytes,
                     tag=TAG_PFS,
                 )
             )

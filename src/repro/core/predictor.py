@@ -33,6 +33,7 @@ import numpy as np
 
 from ..errors import KernelError
 from ..kernels.pattern import DependencePattern
+from ..obs.span import merge_intervals
 from ..pfs.datafile import FileMeta
 from ..pfs.layout import Layout
 
@@ -175,18 +176,8 @@ def run_halo_extents(
             intervals.append((a, min(b, lo)))
         if b > hi:
             intervals.append((max(a, hi), b))
-    if not intervals:
-        return []
     # Merge overlapping intervals (offsets of like sign overlap heavily).
-    intervals.sort()
-    merged = [intervals[0]]
-    for a, b in intervals[1:]:
-        la, lb = merged[-1]
-        if a <= lb:
-            merged[-1] = (la, max(lb, b))
-        else:
-            merged.append((a, b))
-    return [(a, b - a) for a, b in merged]
+    return [(a, b - a) for a, b in merge_intervals(intervals)]
 
 
 def remote_halo_bytes(

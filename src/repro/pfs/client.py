@@ -11,7 +11,7 @@ under test, not the initial population of the file system.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -19,13 +19,7 @@ from ..errors import LayoutError, NodeDownError, PFSError
 from ..hw.cluster import Cluster
 from ..obs.span import NULL_SPAN, rpc_reply_bytes, rpc_status
 from ..sim import contain_failures, outcome_of
-from .dataserver import (
-    TAG_PFS,
-    DataServer,
-    ReadPiece,
-    WritePiece,
-    accounted_wire_size,
-)
+from .dataserver import TAG_PFS, DataServer, ReadPiece, accounted_wire_size, fan_out
 from .datafile import FileMeta
 from .layout import Layout, StripExtent
 from .metadata import MetadataService
@@ -66,13 +60,13 @@ class PFSClient:
         """Create a file and place its strips (and replicas) instantly.
 
         The file system adopts a C-contiguous ``array`` instead of
-        copying it: every strip and replica is a read-only view of that
-        one buffer, and ``array`` itself is flagged read-only, so writing
-        through it afterwards raises instead of changing stored bytes.
-        Timed writes never reach it (the data servers copy a strip before
-        its first write).  An input that needs conversion, or that is a
-        view of an array someone can still write, is copied and left as
-        it was.
+        copying it: every run a server holds (primaries and replicas
+        alike) is one read-only view of that buffer, and ``array`` itself
+        is flagged read-only, so writing through it afterwards raises
+        instead of changing stored bytes.  Timed writes never reach it
+        (the data servers copy the strips a write touches first).  An
+        input that needs conversion, or that is a view of an array
+        someone can still write, is copied and left as it was.
         """
         data = np.ascontiguousarray(array)
         if isinstance(data.base, np.ndarray) and data.base.flags.writeable:
@@ -89,12 +83,11 @@ class PFSClient:
         meta = self.metadata.create(
             name, raw.nbytes, layout, dtype=data.dtype, shape=shape, **attrs
         )
-        for strip in range(layout.n_strips(raw.nbytes)):
-            lo = strip * layout.strip_size
-            hi = min(lo + layout.strip_size, raw.nbytes)
-            piece = raw[lo:hi]
-            for server in layout.replicas(strip):
-                self._server(server).preload(name, strip, piece)
+        size = layout.strip_size
+        for server in layout.servers:
+            store = self._server(server)
+            for first, last in layout.local_runs(server, raw.nbytes):
+                store.preload(name, first, raw[first * size : (last + 1) * size])
         return meta
 
     def collect(self, name: str) -> np.ndarray:
@@ -104,34 +97,32 @@ class PFSClient:
         shape when one is recorded.
         """
         meta = self.metadata.lookup(name)
-        primaries = self._primaries(meta)
-        raw = np.concatenate(primaries) if primaries else np.empty(0, dtype=np.uint8)
+        layout, size = meta.layout, meta.size
+        raw = np.empty(size, dtype=np.uint8)  # one copy per primary run
+        for server in layout.servers:
+            for first, last in layout.primary_runs(server, size):
+                lo, length = first * layout.strip_size, layout.run_bytes(first, last, size)
+                self._server(server).copy_range(name, lo, raw[lo : lo + length])
         out = raw.view(meta.dtype)
         if meta.shape is not None:
             out = out.reshape(meta.shape)
         return out
 
     def verify_replicas(self, name: str) -> bool:
-        """True iff every replica strip is byte-identical to its primary
-        (a replica that *is* its primary's array is not compared)."""
+        """True iff every replicated byte equals its primary's (a replica
+        that is its primary's memory is not compared)."""
         meta = self.metadata.lookup(name)
-        primaries = self._primaries(meta)
-        for server in meta.layout.servers:
-            store = self._server(server)
-            for strip in meta.layout.local_strips(server, meta.size):
-                held, primary = store.strip_bytes(name, strip), primaries[strip]
-                if held is not primary and not np.array_equal(held, primary):
+        layout = meta.layout
+        if layout.storage_bytes(meta.size) == meta.size:
+            return True  # nothing is replicated
+        for strip, lo, hi in layout.segments(0, meta.size):
+            views = [self._server(s).view(name, lo, hi) for s in layout.replicas(strip)]
+            primary, at = views[0], views[0].__array_interface__["data"][0]
+            for held in views[1:]:
+                same = held.__array_interface__["data"][0] == at
+                if not same and not np.array_equal(held, primary):
                     return False
         return True
-
-    def _primaries(self, meta: FileMeta) -> List[np.ndarray]:
-        """Every strip's primary array, off the closed-form inventories."""
-        primaries: List[np.ndarray] = [None] * meta.layout.n_strips(meta.size)
-        for server in meta.layout.servers:
-            store = self._server(server)
-            for strip in meta.layout.primary_strips(server, meta.size):
-                primaries[strip] = store.strip_bytes(meta.name, strip)
-        return primaries
 
     # -- timed data path -----------------------------------------------------------
     def read(self, name: str, offset: int, length: int, span=NULL_SPAN):
@@ -149,9 +140,10 @@ class PFSClient:
             )
         positioned = []  # (output position, StripExtent)
         for e in meta.layout.map_extent(offset, length):
-            if not self.cluster.node(e.server).is_up:
-                e = self._failover(meta.layout, e)
-            positioned.append((e.offset - offset, e))
+            if self.cluster.node(e.server).is_up:
+                positioned.append((e.offset - offset, e))
+            else:
+                positioned.extend(self._failover(meta.layout, offset, e))
 
         out = np.empty(length, dtype=np.uint8)
         if self.recovery is not None:
@@ -169,13 +161,9 @@ class PFSClient:
             # inside this process instead of spawning a child per call —
             # there is nothing to overlap.
             ((server, group),) = by_server.items()
-            pieces = [ReadPiece(e.strip, e.in_strip, e.length) for _, e in group]
+            request, size = self._read_request(name, group)
             reply = yield from self.transport.call_gen(
-                self.home,
-                server,
-                {"op": "read", "file": name, "pieces": pieces},
-                accounted_wire_size(self.cluster.monitors, len(pieces)),
-                tag=TAG_PFS,
+                self.home, server, request, size, tag=TAG_PFS
             )
             self._scatter_reply(reply.payload, group, out)
             return out
@@ -183,7 +171,6 @@ class PFSClient:
         tracer = self.cluster.monitors.tracer
         calls = {}
         for server, group in by_server.items():
-            pieces = [ReadPiece(e.strip, e.in_strip, e.length) for _, e in group]
             rpc = NULL_SPAN
             if span:
                 rpc = tracer.begin(
@@ -191,15 +178,10 @@ class PFSClient:
                     cat="rpc",
                     parent=span,
                     server=server,
-                    pieces=len(pieces),
+                    pieces=sum(e.n_strips for _, e in group),
                 )
-            call = self.transport.call(
-                self.home,
-                server,
-                {"op": "read", "file": name, "pieces": pieces},
-                accounted_wire_size(self.cluster.monitors, len(pieces)),
-                tag=TAG_PFS,
-            )
+            request, size = self._read_request(name, group)
+            call = self.transport.call(self.home, server, request, size, tag=TAG_PFS)
             if rpc:
                 tracer.end_on(rpc, call, status=rpc_status, bytes=rpc_reply_bytes)
             calls[server] = (group, call)
@@ -240,30 +222,12 @@ class PFSClient:
             raise PFSError(
                 f"write past EOF of {name!r}: {offset}+{raw.nbytes} > {meta.size}"
             )
-        extents = meta.layout.map_extent(offset, raw.nbytes)
-
-        # Fan each extent out to every replica of its strip.
-        by_server: Dict[str, List[StripExtent]] = {}
-        for e in extents:
-            for server in meta.layout.replicas(e.strip):
-                by_server.setdefault(server, []).append(e)
-
+        by_server = fan_out(meta.layout, offset, raw)
         single = len(by_server) == 1
         calls = []
-        for server, group in by_server.items():
-            pieces = [
-                WritePiece(
-                    e.strip,
-                    e.in_strip,
-                    raw[e.offset - offset : e.offset - offset + e.length],
-                )
-                for e in group
-            ]
-            payload_bytes = sum(p.data.nbytes for p in pieces)
-            size = (
-                accounted_wire_size(self.cluster.monitors, len(pieces))
-                + payload_bytes
-            )
+        for server, (pieces, n_strips) in by_server.items():
+            payload_bytes = sum(p.length for p in pieces)
+            size = accounted_wire_size(self.cluster.monitors, n_strips) + payload_bytes
             request = {"op": "write", "file": name, "pieces": pieces}
             if single:
                 # One holder: nothing to overlap, run the RPC inline.
@@ -319,7 +283,7 @@ class PFSClient:
         replica failover, scattering the bytes into ``out``."""
         monitors = self.cluster.monitors
         tracer = monitors.tracer
-        pieces = [ReadPiece(e.strip, e.in_strip, e.length) for _, e in group]
+        n_strips = sum(e.n_strips for _, e in group)
         attempt = 1
         hedge_guard = None
         while True:
@@ -330,16 +294,11 @@ class PFSClient:
                     cat="rpc",
                     parent=span,
                     server=server,
-                    pieces=len(pieces),
+                    pieces=n_strips,
                     attempt=attempt,
                 )
-            call = self.transport.call(
-                self.home,
-                server,
-                {"op": "read", "file": name, "pieces": pieces},
-                accounted_wire_size(monitors, len(pieces)),
-                tag=TAG_PFS,
-            )
+            request, size = self._read_request(name, group)
+            call = self.transport.call(self.home, server, request, size, tag=TAG_PFS)
             guard = self.env.process(
                 outcome_of(call), name=f"pfs-ft-guard:{self.home}->{server}"
             )
@@ -442,26 +401,38 @@ class PFSClient:
                 f"server {server!r} unresponsive and no live replica"
                 f" covers its strips of {name!r}"
             )
-        monitors.counter("faults.failover_reads").add(len(group))
-        span.event("failover", server=server, pieces=len(group))
+        monitors.counter("faults.failover_reads").add(n_strips)
+        span.event("failover", server=server, pieces=n_strips)
         yield from self._fill_positioned_ft(
             meta, name, remapped, out, policy, excluded | {server}, span=span
         )
 
     def _remap_group(self, layout: Layout, group, excluded):
         """Re-home ``(position, extent)`` pairs onto live replicas not in
-        ``excluded``; ``None`` when any strip has nowhere to go."""
-        remapped = []
-        for pos, e in group:
-            candidate = None
-            for srv in layout.replicas(e.strip):
-                if srv not in excluded and self.cluster.node(srv).is_up:
-                    candidate = srv
-                    break
-            if candidate is None:
-                return None
-            remapped.append((pos, e.rehomed(candidate)))
-        return remapped
+        ``excluded``, strip by strip; ``None`` when any strip has nowhere
+        to go."""
+        rehome = self._rehomed
+        remapped = [p for pos, e in group for _, p in rehome(layout, pos, e, excluded)]
+        return None if None in remapped else remapped
+
+    def _rehomed(self, layout: Layout, pos: int, extent: StripExtent, excluded):
+        """``(strip, (position, extent))`` per run of ``extent``'s strips
+        sharing replicas, on the first live one outside ``excluded``
+        (``None`` in place of the pair where there is none)."""
+        size, up = layout.strip_size, self.cluster.node
+        for strip, lo, hi in layout.segments(extent.offset, extent.length):
+            live = [s for s in layout.replicas(strip) if s not in excluded and up(s).is_up]
+            in_strip, count = lo - strip * size, (hi - 1) // size - strip + 1
+            piece = live and StripExtent(strip, live[0], lo, hi - lo, in_strip, count)
+            yield strip, piece and (pos + lo - extent.offset, piece) or None
+
+    def _read_request(self, name: str, group):
+        """Payload and wire size of a read of ``(position, extent)`` pairs:
+        one piece per extent, one extent descriptor per strip."""
+        pieces = [ReadPiece(e.strip, e.in_strip, e.length) for _, e in group]
+        n_strips = sum(e.n_strips for _, e in group)
+        size = accounted_wire_size(self.cluster.monitors, n_strips)
+        return {"op": "read", "file": name, "pieces": pieces}, size
 
     @staticmethod
     def _scatter_reply(data, group, out) -> None:
@@ -471,21 +442,23 @@ class PFSClient:
             cursor += e.length
 
     # -- degraded-mode read path -------------------------------------------------
-    def _failover(self, layout: Layout, extent: StripExtent) -> StripExtent:
-        """Redirect an extent whose holder is down to a live replica.
+    def _failover(self, layout: Layout, offset: int, extent: StripExtent):
+        """Redirect an extent whose holder is down to live replicas, strip
+        by strip; ``(output position, extent)`` pairs.
 
         The DAS layout's boundary replication doubles as limited fault
         tolerance: reads of replicated strips survive the primary's
         failure.  Unreplicated strips have nowhere to go.
         """
-        for candidate in layout.replicas(extent.strip):
-            if candidate != extent.server and self.cluster.node(candidate).is_up:
-                self.cluster.monitors.counter("faults.failover_reads").add()
-                return extent.rehomed(candidate)
-        raise NodeDownError(
-            f"strip {extent.strip} unreachable: holder {extent.server!r} is down"
-            " and no live replica exists"
-        )
+        pos = extent.offset - offset
+        for strip, pair in self._rehomed(layout, pos, extent, {extent.server}):
+            if pair is None:
+                raise NodeDownError(
+                    f"strip {strip} unreachable: holder {extent.server!r} is down"
+                    " and no live replica exists"
+                )
+            self.cluster.monitors.counter("faults.failover_reads").add(pair[1].n_strips)
+            yield pair
 
     # -- helpers ------------------------------------------------------------------------
     def _server(self, name: str) -> DataServer:
@@ -493,4 +466,3 @@ class PFSClient:
             return self.servers[name]
         except KeyError:
             raise PFSError(f"no data server on node {name!r}") from None
-

@@ -70,18 +70,6 @@ class FileMeta:
         """(byte offset, byte length) of ``count`` elements from ``first``."""
         return first * self.element_size, count * self.element_size
 
-    def strip_elem_range(self, strip: int) -> Tuple[int, int]:
-        """(first element, element count) covered by ``strip``.
-
-        Strip boundaries need not align with element boundaries in
-        general; for the paper's rasters ``strip_size % E == 0`` always
-        holds, which :class:`~repro.pfs.client.PFSClient` enforces at
-        file creation.
-        """
-        start = strip * self.layout.strip_size
-        end = min(start + self.layout.strip_size, self.size)
-        return start // self.element_size, (end - start) // self.element_size
-
     def clamp_elems(self, first: int, last: int) -> Tuple[int, int]:
         """Clamp an inclusive element range to the file bounds."""
         return max(0, first), min(self.n_elements - 1, last)

@@ -4,9 +4,9 @@ DAS "calculates an appropriate data distribution method ... and
 arranges the data to minimize data movement among storage servers"
 (paper Section III-A, workflow step 4 "Reconfig Parallel File System").
 This component executes that reconfiguration: given a file and a target
-layout, it ships every strip that needs a new holder from a current
-holder to the new one (disk read, wire transfer, disk write), drops
-copies that are no longer wanted, and updates the metadata record.
+layout, it ships every run of strips that needs a new holder from a
+current holder to the new one (disk read, wire transfer, disk write),
+drops copies that are no longer wanted, and updates the metadata record.
 
 Transfers are batched per (source, destination) server pair so the cost
 is dominated by bytes, not message count, and all pair-flows run
@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 
 from ..errors import PFSError
 from ..hw.cluster import Cluster
-from .dataserver import DataServer, WritePiece, request_wire_size
+from .dataserver import DataServer, ReadPiece, request_wire_size
 from .layout import Layout
 from .metadata import MetadataService
 
@@ -28,38 +28,54 @@ from .metadata import MetadataService
 TAG_REDIST = "redist"
 
 
-def plan_moves(meta, new_layout: Layout) -> Dict[Tuple[str, str], List[int]]:
-    """``{(src, dst): [strips]}`` transfers required to move ``meta``'s
-    file from its current layout to ``new_layout``.
+def plan_moves(meta, new_layout: Layout) -> Dict[Tuple[str, str], List[Tuple[int, int]]]:
+    """``{(src, dst): [(first, last)]}``: the runs of strips to ship to
+    move ``meta``'s file from its current layout to ``new_layout``.
 
     A strip is shipped to each new holder that lacks it, from its
     current primary; strips whose holder set is unchanged move nothing.
     Pure function of the two layouts — usable by the decision engine
     before any redistribution is committed.
     """
-    old = meta.layout
-    if new_layout.strip_size != old.strip_size:
-        raise PFSError(
-            "redistribution cannot change the strip size"
-            f" ({old.strip_size} -> {new_layout.strip_size})"
-        )
-    moves: Dict[Tuple[str, str], List[int]] = {}
-    for strip in range(old.n_strips(meta.size)):
-        src = old.primary_server(strip)
-        current = set(old.replicas(strip))
+    old = _source_layout(meta, new_layout)
+    moves: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
+    strip, n = 0, old.n_strips(meta.size)
+    while strip < n:
+        stop = min(n, old.placement_end(strip), new_layout.placement_end(strip))
+        held = old.replicas(strip)
         for dst in new_layout.replicas(strip):
-            if dst not in current:
-                moves.setdefault((src, dst), []).append(strip)
+            if dst not in held:
+                runs = moves.setdefault((held[0], dst), [])
+                if runs and runs[-1][1] == strip - 1:
+                    runs[-1] = (runs[-1][0], stop - 1)
+                else:
+                    runs.append((strip, stop - 1))
+        strip = stop
     return moves
 
 
 def planned_bytes(meta, new_layout: Layout) -> int:
-    """Total bytes :func:`plan_moves` would put on the wire."""
-    return sum(
-        meta.layout.strip_extent_bytes(strip, meta.size)
-        for strips in plan_moves(meta, new_layout).values()
-        for strip in strips
-    )
+    """Total bytes :func:`plan_moves` would put on the wire: per run
+    the new holder stores, its bytes less those it holds already."""
+    old, size = _source_layout(meta, new_layout), meta.size
+    n, strip = old.n_strips(size), old.strip_size
+    total = 0
+    for dst in new_layout.servers:
+        for first, last in new_layout.local_runs(dst, size):
+            fresh = last + 1 - first - old.local_count(dst, first, last + 1)
+            total += fresh * strip
+            if last == n - 1 and not old.holds(dst, last):
+                total -= n * strip - size  # the short last strip
+    return total
+
+
+def _source_layout(meta, new_layout: Layout) -> Layout:
+    if new_layout.strip_size != meta.layout.strip_size:
+        raise PFSError(
+            "redistribution cannot change the strip size"
+            f" ({meta.layout.strip_size} -> {new_layout.strip_size})"
+        )
+    return meta.layout
 
 
 class Redistributor:
@@ -99,29 +115,27 @@ class Redistributor:
         for flow in flows:
             moved += yield flow
 
-        # Drop copies the new layout no longer wants.
-        for server in old_layout.servers:
-            store = self.servers[server]
-            wanted = set(new_layout.local_strips(server, meta.size))
-            for strip in old_layout.local_strips(server, meta.size):
-                if strip not in wanted:
-                    store.drop_strip(name, strip)
+        # Drop copies the new layout no longer wants; join what was lent.
+        for server in dict.fromkeys(old_layout.servers + new_layout.servers):
+            self.servers[server].retain(name, new_layout.local_runs(server, meta.size))
 
         self.metadata.set_layout(name, new_layout)
         self.monitors.counter("pfs.redistribute_bytes").add(moved)
         return moved
 
-    def _flow(self, name: str, src: str, dst: str, strips: List[int]):
-        """Ship ``strips`` from ``src`` to ``dst``: disk read, wire and
-        disk write are charged by size, while the new holder adopts the
-        source's arrays, lent read-only, instead of copying them."""
-        arrays = yield self.servers[src].lend_strips(name, strips)
-        total = sum(a.nbytes for a in arrays)
+    def _flow(self, name: str, src: str, dst: str, runs: List[Tuple[int, int]]):
+        """Ship ``runs`` of strips from ``src`` to ``dst``: disk read, wire
+        and disk write are charged by size (one extent descriptor per
+        strip), while the new holder adopts the source's buffers, lent
+        read-only, instead of copying them."""
+        meta = self.metadata.lookup(name)
+        reads = [ReadPiece(f, 0, meta.layout.run_bytes(f, l, meta.size)) for f, l in runs]
+        pieces = yield self.servers[src].read_pieces(name, reads, lend=True)
+        total = sum(p.length for p in pieces)
         if src != dst:
+            n_strips = sum(last - first + 1 for first, last in runs)
             yield self.transport.send(
-                src, dst, total + request_wire_size(len(strips)), None, tag=TAG_REDIST
+                src, dst, total + request_wire_size(n_strips), None, tag=TAG_REDIST
             )
-        yield self.servers[dst].write_pieces(
-            name, [WritePiece(s, 0, a) for s, a in zip(strips, arrays)], adopt=True
-        )
+        yield self.servers[dst].write_pieces(name, pieces, adopt=True)
         return total

@@ -19,44 +19,33 @@ Three concrete layouts:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..errors import LayoutError
+from ..obs.span import merge_intervals
 
 
 class StripExtent:
-    """One contiguous piece of a byte range, confined to a single strip.
+    """One contiguous piece of a byte range held by one server: a run of
+    ``n_strips`` strips from ``strip``, starting ``in_strip`` bytes into
+    it at absolute file ``offset``.  The wire charges one extent
+    descriptor per strip.  Plain ``__slots__`` record: hot path."""
 
-    ``offset`` is the absolute file offset of the piece; ``in_strip``
-    is the piece's offset within the strip on the holding server.
+    __slots__ = ("strip", "server", "offset", "length", "in_strip", "n_strips")
 
-    Plain ``__slots__`` record (one per strip crossing per mapped byte
-    range — hot on the data path); use :meth:`rehomed` where
-    ``dataclasses.replace`` would have been used.
-    """
-
-    __slots__ = ("strip", "server", "offset", "length", "in_strip")
-
-    def __init__(self, strip: int, server: str, offset: int, length: int, in_strip: int):
+    def __init__(
+        self, strip: int, server: str, offset: int, length: int, in_strip: int, n_strips: int
+    ):
         self.strip = strip
         self.server = server
         self.offset = offset
         self.length = length
         self.in_strip = in_strip
+        self.n_strips = n_strips
 
     @property
     def end(self) -> int:
         return self.offset + self.length
-
-    def rehomed(self, server: str) -> "StripExtent":
-        """A copy of this extent held by a different server."""
-        return StripExtent(self.strip, server, self.offset, self.length, self.in_strip)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"StripExtent(strip={self.strip}, server={self.server!r},"
-            f" offset={self.offset}, length={self.length}, in_strip={self.in_strip})"
-        )
 
 
 class Layout(ABC):
@@ -96,6 +85,10 @@ class Layout(ABC):
     def server_index(self, strip: int) -> int:
         """Index (0..D-1) of the *primary* server for ``strip``."""
 
+    def placement_end(self, strip: int) -> int:
+        """First strip after ``strip`` whose :meth:`replicas` may differ."""
+        return strip + 1
+
     def primary_server(self, strip: int) -> str:
         return self.servers[self.server_index(strip)]
 
@@ -107,85 +100,83 @@ class Layout(ABC):
         return server in self.replicas(strip)
 
     # -- byte-range mapping ------------------------------------------------------
+    def segments(self, offset: int, length: int) -> Iterator[Tuple[int, int, int]]:
+        """Split ``[offset, offset+length)`` into ``(strip, lo, hi)`` pieces
+        whose strips all share ``replicas(strip)``."""
+        if offset < 0 or length < 0:
+            raise LayoutError(f"invalid extent ({offset!r}, {length!r})")
+        pos, end = offset, offset + length
+        while pos < end:
+            strip = pos // self.strip_size
+            hi = min(end, self.placement_end(strip) * self.strip_size)
+            yield strip, pos, hi
+            pos = hi
+
     def map_extent(self, offset: int, length: int, prefer: str | None = None) -> List[StripExtent]:
-        """Split ``[offset, offset+length)`` into per-strip extents.
+        """Split ``[offset, offset+length)`` into one extent per maximal
+        run of strips with the same holder.
 
         When ``prefer`` names a server, a replica on that server is
         chosen where one exists (used by local reads of replicated
         boundary strips); otherwise the primary is used.
         """
-        if offset < 0 or length < 0:
-            raise LayoutError(f"invalid extent ({offset!r}, {length!r})")
+        size = self.strip_size
         extents: List[StripExtent] = []
-        pos = offset
-        end = offset + length
-        while pos < end:
-            strip = pos // self.strip_size
-            strip_end = (strip + 1) * self.strip_size
-            piece = min(end, strip_end) - pos
+        for strip, lo, hi in self.segments(offset, length):
             server = self.primary_server(strip)
             if prefer is not None and prefer != server and self.holds(prefer, strip):
                 server = prefer
-            extents.append(
-                StripExtent(
-                    strip=strip,
-                    server=server,
-                    offset=pos,
-                    length=piece,
-                    in_strip=pos - strip * self.strip_size,
-                )
-            )
-            pos += piece
+            count = (hi - 1) // size - strip + 1
+            if extents and extents[-1].server == server:
+                extents[-1].length += hi - lo
+                extents[-1].n_strips += count
+            else:
+                in_strip = lo - strip * size
+                extents.append(StripExtent(strip, server, lo, hi - lo, in_strip, count))
         return extents
 
-    # -- per-server inventories ------------------------------------------------------
-    def primary_strips(self, server: str, file_size: int) -> List[int]:
-        """Strips whose primary copy lives on ``server``."""
-        return [
-            s
-            for s in range(self.n_strips(file_size))
-            if self.primary_server(s) == server
-        ]
-
-    def local_strips(self, server: str, file_size: int) -> List[int]:
-        """All strips present on ``server`` (primary or replica)."""
-        return [s for s in range(self.n_strips(file_size)) if self.holds(server, s)]
-
+    # -- per-server inventories (closed form, as runs) -------------------------
+    @abstractmethod
     def primary_runs(self, server: str, file_size: int) -> List[Tuple[int, int]]:
         """Maximal runs ``(first, last)`` of consecutive primary strips on
         ``server`` — the natural processing unit for offloaded kernels."""
-        strips = self.primary_strips(server, file_size)
-        runs: List[Tuple[int, int]] = []
-        for s in strips:
-            if runs and runs[-1][1] == s - 1:
-                runs[-1] = (runs[-1][0], s)
-            else:
-                runs.append((s, s))
-        return runs
+
+    def local_runs(self, server: str, file_size: int) -> List[Tuple[int, int]]:
+        """Maximal runs ``(first, last)`` of strips present on ``server``
+        (primary or replica) — one stored buffer each at ingest."""
+        return self.primary_runs(server, file_size)
+
+    def local_count(self, server: str, first: int, end: int) -> int:
+        """How many strips of ``[first, end)`` are present on ``server``."""
+        runs = self.local_runs(server, end * self.strip_size)
+        return sum(max(0, min(last + 1, end) - max(lo, first)) for lo, last in runs)
 
     def strip_extent_bytes(self, strip: int, file_size: int) -> int:
         """Actual byte length of ``strip`` (the last strip may be short)."""
-        start = strip * self.strip_size
-        if start >= file_size:
-            return 0
-        return min(self.strip_size, file_size - start)
+        return max(0, self.run_bytes(strip, strip, file_size))
+
+    def run_bytes(self, first: int, last: int, file_size: int) -> int:
+        """Byte length of strips ``first..last`` (the last strip may be short)."""
+        return min((last + 1) * self.strip_size, file_size) - first * self.strip_size
 
     def placement_table(self, file_size: int) -> Dict[str, List[int]]:
         """``{server: [strips]}`` for every strip of a file (replicas included)."""
-        return {s: self.local_strips(s, file_size) for s in self.servers}
+        runs = {server: self.local_runs(server, file_size) for server in self.servers}
+        return {k: [s for a, b in v for s in range(a, b + 1)] for k, v in runs.items()}
 
     def storage_bytes(self, file_size: int) -> int:
-        """Total bytes stored across all servers, replication included."""
+        """Total bytes stored across all servers, replication included:
+        one term per stored run."""
         return sum(
-            self.strip_extent_bytes(strip, file_size) * len(self.replicas(strip))
-            for strip in range(self.n_strips(file_size))
+            self.run_bytes(first, last, file_size)
+            for server in self.servers
+            for first, last in self.local_runs(server, file_size)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<{type(self).__name__} D={self.n_servers}"
-            f" strip_size={self.strip_size}>"
-        )
+        shape = [f"{k}={v}" for k, v in vars(self).items() if k in ("group", "halo_strips")]
+        name = " ".join([type(self).__name__, f"D={self.n_servers}", *shape])
+        return f"<{name} strip_size={self.strip_size}>"
 
 
 class RoundRobinLayout(Layout):
@@ -200,14 +191,21 @@ class RoundRobinLayout(Layout):
     def period(self) -> int:
         return len(self.servers)
 
-    def primary_strips(self, server: str, file_size: int) -> List[int]:
-        """Closed form of the inventory: ``i, i+D, i+2D, ...``."""
+    def primary_runs(self, server: str, file_size: int) -> List[Tuple[int, int]]:
+        """Closed form of the inventory: strips ``i, i+D, i+2D, ...``."""
         if server not in self.servers:
             return []
-        first, step = self.servers.index(server), len(self.servers)
-        return list(range(first, self.n_strips(file_size), step))
+        i, d = self.servers.index(server), self.n_servers
+        return merged_runs((s, s + 1) for s in range(i, self.n_strips(file_size), d))
 
-    local_strips = primary_strips  # nothing is replicated
+    def local_count(self, server: str, first: int, end: int) -> int:
+        if server not in self.servers:
+            return 0
+        i, d = self.servers.index(server), len(self.servers)
+        return len(range(first + (i - first) % d, end, d))
+
+    def storage_bytes(self, file_size: int) -> int:
+        return max(file_size, 0)  # one copy of every strip
 
 
 class GroupedLayout(Layout):
@@ -226,23 +224,25 @@ class GroupedLayout(Layout):
             raise LayoutError(f"negative strip index {strip!r}")
         return (strip // self.group) % len(self.servers)
 
+    def placement_end(self, strip: int) -> int:
+        return (strip // self.group + 1) * self.group
+
     @property
     def period(self) -> int:
         """``r * D``, replicated or not (only group 0's head differs)."""
         return self.group * len(self.servers)
 
-    def primary_strips(self, server: str, file_size: int) -> List[int]:
-        """Closed form of the inventory: every D-th group of ``r`` strips."""
+    def primary_runs(self, server: str, file_size: int, halo: int = 0) -> List[Tuple[int, int]]:
+        """Closed form of the inventory: every D-th group of ``r`` strips,
+        widened by ``halo`` strips on both sides (and one group past the
+        end of the file considered) when ``halo`` is set."""
         if server not in self.servers:
             return []
-        n, r = self.n_strips(file_size), self.group
-        groups = range(self.servers.index(server), -(-n // r), len(self.servers))
-        return [s for g in groups for s in range(g * r, min(g * r + r, n))]
+        n, r, d = self.n_strips(file_size), self.group, self.n_servers
+        groups = range(self.servers.index(server), -(-n // r) + bool(halo), d)
+        return merged_runs((max(g * r - halo, 0), min(g * r + r + halo, n)) for g in groups)
 
-    local_strips = primary_strips  # nothing is replicated
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<GroupedLayout D={self.n_servers} r={self.group}"
-            f" strip_size={self.strip_size}>"
-        )
+def merged_runs(spans: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Half-open ``(lo, hi)`` strip spans as maximal inclusive runs ``(first, last)``."""
+    return [(lo, hi - 1) for lo, hi in merge_intervals(spans) if hi > lo]

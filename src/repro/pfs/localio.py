@@ -48,17 +48,20 @@ class LocalFile:
         """True iff every byte of the range is held on this server."""
         if offset < 0 or offset + length > self.meta.size:
             return False
-        layout = self.meta.layout
-        first = offset // layout.strip_size
-        last = (offset + length - 1) // layout.strip_size if length > 0 else first
-        return all(
-            self.server.has_strip(self.name, s) for s in range(first, last + 1)
-        )
+        me = self.server.name
+        extents = self.meta.layout.map_extent(offset, max(length, 1), prefer=me)
+        return all(e.server == me for e in extents)
 
     # -- timed reads/writes --------------------------------------------------------
     def read(self, offset: int, length: int):
         """Process: disk-read local bytes; value is uint8[length]."""
-        pieces = self._pieces(offset, length)
+        if not self.is_local(offset, length):
+            raise PFSError(
+                f"range ({offset}, {length}) of {self.name!r} is not fully local"
+                f" to {self.server.name!r}"
+            )
+        extents = self.meta.layout.map_extent(offset, length, prefer=self.server.name)
+        pieces = [ReadPiece(e.strip, e.in_strip, e.length) for e in extents]
         return self.server.read_pieces(self.name, pieces)
 
     def read_elems(self, first: int, count: int):
@@ -74,8 +77,8 @@ class LocalFile:
     def write_elems(self, first: int, data: np.ndarray):
         """Process: disk-write elements into local strips.
 
-        Every touched strip must be held locally (primary or replica);
-        remote strips are the caller's responsibility."""
+        The layout must place every touched strip here (primary or
+        replica); remote strips are the caller's responsibility."""
         if np.dtype(data.dtype) != self.meta.dtype:
             raise PFSError(
                 f"dtype mismatch writing {self.name!r}: {data.dtype} != {self.meta.dtype}"
@@ -83,34 +86,12 @@ class LocalFile:
         raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
         offset = first * self.meta.element_size
         pieces = []
-        for e in self.meta.layout.map_extent(offset, raw.nbytes):
-            if not self.server.has_strip(self.name, e.strip) and not self._creatable(
-                e.strip
-            ):
+        for e in self.meta.layout.map_extent(offset, raw.nbytes, prefer=self.server.name):
+            if e.server != self.server.name:
                 raise PFSError(
                     f"strip {e.strip} of {self.name!r} is not local to"
                     f" {self.server.name!r}"
                 )
-            pieces.append(
-                WritePiece(
-                    e.strip,
-                    e.in_strip,
-                    raw[e.offset - offset : e.offset - offset + e.length],
-                )
-            )
+            data = raw[e.offset - offset : e.end - offset]
+            pieces.append(WritePiece(e.strip, e.in_strip, data))
         return self.server.write_pieces(self.name, pieces)
-
-    def _creatable(self, strip: int) -> bool:
-        """A strip may be created locally iff the layout places it here."""
-        return self.meta.layout.holds(self.server.name, strip)
-
-    def _pieces(self, offset: int, length: int) -> List[ReadPiece]:
-        if not self.is_local(offset, length):
-            raise PFSError(
-                f"range ({offset}, {length}) of {self.name!r} is not fully local"
-                f" to {self.server.name!r}"
-            )
-        pieces = []
-        for e in self.meta.layout.map_extent(offset, length, prefer=self.server.name):
-            pieces.append(ReadPiece(e.strip, e.in_strip, e.length))
-        return pieces

@@ -14,7 +14,7 @@ paper's "reduced to 2/r" with the implicit one-strip halo).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from ..errors import LayoutError
 from .layout import GroupedLayout
@@ -60,27 +60,18 @@ class ReplicatedGroupedLayout(GroupedLayout):
                 out.append(next_server)
         return out
 
-    def local_strips(self, server: str, file_size: int) -> List[int]:
-        """Primary strips plus the neighbour groups' replicated heads
-        (of the next group) and tails (of the previous one)."""
-        if server not in self.servers:
-            return []
-        me, d = self.servers.index(server), len(self.servers)
-        n, r, h = self.n_strips(file_size), self.group, self.halo_strips
-        held = set(self.primary_strips(server, file_size))
-        for g in range(-(-n // r)):
-            if g > 0 and (g - 1) % d == me:
-                held.update(range(g * r, min(g * r + h, n)))
-            if (g + 1) % d == me:
-                held.update(range(min(g * r + r - h, n), min(g * r + r, n)))
-        return sorted(held)
+    def placement_end(self, strip: int) -> int:
+        """Groups split at the replicated head and tail."""
+        start = strip - strip % self.group
+        cuts = (self.halo_strips, self.group - self.halo_strips, self.group)
+        return min(start + c for c in cuts if start + c > strip)
+
+    def local_runs(self, server: str, file_size: int) -> List[Tuple[int, int]]:
+        """Each primary group widened by the neighbours' replicated tail
+        and head — and one group past the end: the last group's tail lands
+        on the next server even when that server has no group there."""
+        return self.primary_runs(server, file_size, halo=self.halo_strips)
 
     def capacity_overhead(self) -> float:
         """Fractional extra storage vs. an unreplicated layout (≈ 2h/r)."""
         return 2.0 * self.halo_strips / self.group
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<ReplicatedGroupedLayout D={self.n_servers} r={self.group}"
-            f" halo={self.halo_strips} strip_size={self.strip_size}>"
-        )

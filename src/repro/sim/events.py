@@ -35,8 +35,8 @@ from ..errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
 
-# Scheduling priorities: urgent callbacks (resource bookkeeping) run
-# before normal events at the same timestamp.
+# Scheduling priorities: URGENT (process start, interrupts) runs before
+# NORMAL (everything else, resource grants included) at equal timestamps.
 URGENT = 0
 NORMAL = 1
 

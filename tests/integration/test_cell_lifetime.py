@@ -141,7 +141,7 @@ CELLS = (
 @pytest.fixture
 def born(monkeypatch):
     """Weak references to every owner a cell constructs: each PFS, one
-    of its data servers, every strip array placed at ingest, and each
+    of its data servers, every run array placed at ingest, and each
     ServeSystem / FleetSystem."""
     refs = []
 
@@ -166,9 +166,10 @@ def born(monkeypatch):
 
     preload = DataServer.preload
 
-    def watched_preload(self, file, strip, data):
-        preload(self, file, strip, data)
-        refs.append(("strip ndarray", weakref.ref(self.strip_bytes(file, strip))))
+    def watched_preload(self, file, first, data):
+        run = preload(self, file, first, data)
+        refs.append(("run ndarray", weakref.ref(run)))
+        return run
 
     monkeypatch.setattr(DataServer, "preload", watched_preload)
     return refs
@@ -183,7 +184,7 @@ def test_finished_cell_is_freed_by_refcounting_alone(born, cell, arg):
         # The result stays alive, as it does in the benches.
         result = cell() if arg is None else cell(arg)
         kinds = {kind for kind, _ in born}
-        assert {"ParallelFileSystem", "DataServer", "strip ndarray"} <= kinds
+        assert {"ParallelFileSystem", "DataServer", "run ndarray"} <= kinds
         if cell in (serve_cell, scenario_cell):
             assert "ServeSystem" in kinds
         if cell is fleet_cell:

@@ -1,16 +1,17 @@
 """The buffer rule on the PFS: adopt on ingest and on hand-over, copy
-on write.
+on write, per strip.
 
 ``PFSClient.ingest`` adopts a C-contiguous array instead of copying it
-(every strip and replica is a read-only view of that one buffer) and
-flags the handed array read-only; a whole-strip write piece its sender
-hands over (an AS stage output, a redistributed strip) becomes the
-strip, read-only, while client writes are copied; the data servers
-replace a strip with a private copy before its first partial timed
-write.  So a later write through the caller's
-handle raises instead of silently changing stored bytes, and no write
-through the file system ever reaches the source raster (see
-docs/ARCHITECTURE.md, "Ownership and lifetime").
+(every run a server holds, primaries and replicas alike, is a read-only
+view of that one buffer) and flags the handed array read-only; the
+whole strips of a write piece its sender hands over (an AS stage
+output, a redistributed run) become a run holding the piece,
+read-only, while client writes are copied; a timed write copies only
+the strips it touches out of a read-only run.  So a later write through
+the caller's handle raises instead of silently changing stored bytes,
+and no write through the file system ever reaches the source raster or
+a handed-over buffer (see docs/ARCHITECTURE.md, "Ownership and
+lifetime").
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.core import ActiveRequest, ActiveStorageClient, Pipeline
 from repro.hw import Cluster
 from repro.kernels import default_registry
 from repro.pfs import ParallelFileSystem, WritePiece
+from repro.pfs.dataserver import fan_out
 from repro.schemes import TraditionalScheme
 from repro.units import KiB
 from repro.workloads import fractal_dem
@@ -289,24 +291,31 @@ def write_plans(draw):
     n = draw(st.integers(1, 200))
     kind = draw(st.sampled_from(["rr", "grouped", "replicated"]))
     group = draw(st.integers(1, 3))
+    halo = draw(st.integers(0, group))
     writes = []
     for _ in range(draw(st.integers(0, 5))):
         first = draw(st.integers(0, n - 1))
         count = draw(st.integers(1, n - first))
-        writes.append((first, count, draw(st.integers(0, 2**16))))
-    return n_servers, per_strip * 8, n, kind, group, draw(st.integers(0, 2**16)), writes
+        writes.append((first, count, draw(st.integers(0, 2**16)), draw(st.booleans())))
+    plan = (n_servers, per_strip * 8, n, kind, group, halo)
+    return plan + (draw(st.integers(0, 2**16)), writes)
 
 
 @given(plan=write_plans())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_random_writes_over_an_adopted_file_match_a_numpy_model(plan):
-    n_servers, strip, n, kind, group, seed, writes = plan
+    """Random writes — crossing strip and run boundaries, copied (client
+    writes) or handed over (``adopt=True``, as stage outputs are) — over
+    an adopted file agree with a NumPy model, and the store copies only
+    the strips a write touches: every strip no write reached is still a
+    read-only view of the ingested array."""
+    n_servers, strip, n, kind, group, halo, seed, writes = plan
     cluster = Cluster.build(n_compute=1, n_storage=n_servers)
     pfs = ParallelFileSystem(cluster, strip_size=strip)
     layout = {
         "rr": pfs.round_robin,
         "grouped": lambda: pfs.grouped(group),
-        "replicated": lambda: pfs.replicated_grouped(group, halo_strips=min(1, group)),
+        "replicated": lambda: pfs.replicated_grouped(group, halo_strips=halo),
     }[kind]()
     data = np.random.default_rng(seed).random(n)
     model = data.copy()
@@ -314,12 +323,21 @@ def test_random_writes_over_an_adopted_file_match_a_numpy_model(plan):
     client = pfs.client("c0")
     client.ingest("f", data, layout)
     assert not data.flags.writeable
+    handed, touched = [], set()
 
     def main():
-        for first, count, patch_seed in writes:
+        for first, count, patch_seed, adopt in writes:
             patch = np.random.default_rng(patch_seed).random(count)
             model[first : first + count] = patch
-            yield client.write_elems("f", first, patch)
+            touched.update(range(first * 8 // strip, ((first + count) * 8 - 1) // strip + 1))
+            if not adopt:
+                yield client.write_elems("f", first, patch)
+                continue
+            patch.flags.writeable = False
+            handed.append((patch, patch.tobytes()))
+            raw = patch.view(np.uint8)
+            for server, (pieces, _) in fan_out(layout, first * 8, raw).items():
+                yield pfs.servers[server].write_pieces("f", pieces, adopt=True)
         return (yield client.read_elems("f", 0, n))
 
     got = cluster.run(until=cluster.env.process(main()))
@@ -327,7 +345,15 @@ def test_random_writes_over_an_adopted_file_match_a_numpy_model(plan):
     assert np.array_equal(client.collect("f"), model)
     assert client.verify_replicas("f")
     assert data.tobytes() == source
+    assert all(patch.tobytes() == before for patch, before in handed)
     assert pfs.stored_bytes() == sum(
         layout.strip_extent_bytes(s, data.nbytes) * len(layout.replicas(s))
         for s in range(layout.n_strips(data.nbytes))
     )
+    table = layout.placement_table(data.nbytes)
+    for name, server in pfs.servers.items():
+        assert server.held_strips("f") == table[name]
+        for s in server.held_strips("f"):
+            view = server.strip_bytes("f", s)
+            assert np.shares_memory(view, data) == (s not in touched)
+            assert not view.flags.writeable or s in touched

@@ -194,3 +194,46 @@ class TestCachedDataServer:
         )
         ref = default_registry.get("gaussian").reference(dem)
         assert np.array_equal(pfs.client("c0").collect("out"), ref)
+
+
+def test_cold_pipeline_shaped_cell_with_cache_matches_cache_off():
+    """A DAS pipeline over a redistributed round-robin DEM plus a TS
+    write-back, at 4 KiB strips: the page cache changes disk time, never
+    bytes.  The disk and cache-hit totals were pinned on the per-strip
+    store the run store replaced; the page cache stays per strip."""
+    import zlib
+
+    from repro.core import ActiveStorageClient, Pipeline
+    from repro.schemes import TraditionalScheme
+
+    def cell(cache_bytes):
+        spec = PlatformSpec(server_cache_bytes=cache_bytes)
+        cluster = Cluster.build(n_compute=4, n_storage=4, spec=spec)
+        pfs = ParallelFileSystem(cluster, strip_size=4 * KiB)
+        client = pfs.client("c0")
+        client.ingest("dem", fractal_dem(192, 256, rng=np.random.default_rng(7)), pfs.round_robin())
+        pipeline = Pipeline(("flow-routing", "flow-accumulation", "gaussian"))
+        stages = cluster.run(until=pipeline.submit(ActiveStorageClient(pfs, home="c0"), "dem"))
+        assert all(stage.offloaded for stage in stages)
+        cluster.run(
+            until=TraditionalScheme(pfs, write_back=True).run_operation("gaussian", "dem", "dem.ts")
+        )
+        outputs = [r.output for r in pipeline.requests("dem")] + ["dem.ts"]
+        crcs = [zlib.crc32(client.collect(name).tobytes()) for name in outputs]
+        m = cluster.monitors
+        hits = {
+            k: c.value for k, c in sorted(m.counters.items()) if k.startswith("pfs.cache_hit_bytes.")
+        }
+        return crcs, m.counter("disk.read_total").value, hits
+
+    off_crcs, off_disk, off_hits = cell(0)
+    on_crcs, on_disk, on_hits = cell(96 * KiB)
+    assert on_crcs == off_crcs
+    assert (off_disk, off_hits) == (1_937_600, {})
+    assert on_disk == 1_615_992
+    assert on_hits == {
+        "pfs.cache_hit_bytes.s0": 73_728,
+        "pfs.cache_hit_bytes.s1": 75_800,
+        "pfs.cache_hit_bytes.s2": 79_896,
+        "pfs.cache_hit_bytes.s3": 92_184,
+    }

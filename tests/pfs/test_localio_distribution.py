@@ -101,9 +101,9 @@ class TestRedistribution:
         target = pfs.grouped(2)
         moves = plan_moves(meta, target)
         # Strip 1 (rr: s1) belongs to group 0 -> s0 under grouped(2).
-        assert 1 in moves[("s1", "s0")]
+        assert (1, 1) in moves[("s1", "s0")]
         # Strip 0 stays on s0: no move recorded.
-        assert all(0 not in strips for strips in moves.values())
+        assert all(first > 0 for runs in moves.values() for first, _ in runs)
 
     def test_planned_bytes_match_moved_bytes(self, world, drive):
         cl, pfs, client, dem = world
@@ -139,6 +139,18 @@ class TestRedistribution:
         # Under grouped(2) with 8 strips, s2/s3 hold strips 4-7 only.
         assert pfs.servers["s0"].held_strips("dem") == [0, 1]
         assert pfs.servers["s2"].held_strips("dem") == [4, 5]
+
+    def test_redistribution_joins_the_lent_views(self, world, drive):
+        """Lent strips that continue one another in the ingested buffer
+        end up as one stored run per local run, with no copy."""
+        cl, pfs, client, dem = world
+        target = pfs.replicated_grouped(group=2, halo_strips=1)
+        drive(cl, pfs.redistributor.redistribute("dem", target))
+        for name, server in pfs.servers.items():
+            runs = server._runs("dem").runs  # the store itself, not views of it
+            assert [(f, e - 1) for f, e, _ in runs] == target.local_runs(name, dem.nbytes)
+            for _, _, buf in runs:
+                assert not buf.flags.writeable and np.shares_memory(buf, dem)
 
     def test_strip_size_change_rejected(self, world):
         cl, pfs, client, dem = world

@@ -74,19 +74,6 @@ class TestFileMeta:
         with pytest.raises(PFSError):
             _ = meta.width
 
-    def test_strip_elem_range(self):
-        meta = FileMeta("f", size=4096, layout=LAYOUT, shape=(16, 32))
-        first, count = meta.strip_elem_range(0)
-        assert (first, count) == (0, 128)  # 1024 B / 8
-        first, count = meta.strip_elem_range(3)
-        assert (first, count) == (384, 128)
-
-    def test_strip_elem_range_last_partial(self):
-        meta = FileMeta("f", size=1500, layout=LAYOUT, dtype=np.float64)
-        first, count = meta.strip_elem_range(1)
-        assert first == 128
-        assert count == (1500 - 1024) // 8
-
     def test_clamp_elems(self):
         meta = FileMeta("f", size=800, layout=LAYOUT)
         assert meta.clamp_elems(-5, 1000) == (0, 99)
