@@ -6,16 +6,18 @@ clusters, prints the paper-style comparison rows, and renders a text
 Gantt chart of one NAS storage server vs one DAS storage server — the
 visual version of the paper's explanation for NAS's slowness (servers
 interleaving their own disk I/O, peers' halo requests and compute).
+The Gantt rows are the device spans a tracer on the cluster's monitor
+hub collects (one per CPU or disk busy interval).
 
 Run:  python examples/scheme_comparison.py
 """
 
 import numpy as np
 
-from repro.config import SimConfig
 from repro.harness.platform import ingest_for_scheme
 from repro.hw import Cluster
 from repro.metrics import Timeline, format_table, render_gantt
+from repro.obs import Tracer
 from repro.pfs import ParallelFileSystem
 from repro.schemes import SCHEMES
 from repro.units import KiB, fmt_time
@@ -23,23 +25,23 @@ from repro.workloads import fractal_dem
 
 
 def run(label: str):
-    cluster = Cluster.build(
-        n_compute=8, n_storage=8, sim_config=SimConfig(trace=True)
-    )
+    cluster = Cluster.build(n_compute=8, n_storage=8)
+    tracer = Tracer().bind(lambda: cluster.env.now)
+    cluster.monitors.tracer = tracer
     pfs = ParallelFileSystem(cluster, strip_size=64 * KiB)
     dem = fractal_dem(1024, 1024, rng=np.random.default_rng(99))
     ingest_for_scheme(pfs, label, "img", dem, "gaussian")
     scheme = SCHEMES[label](pfs)
     result = cluster.run(until=scheme.run_operation("gaussian", "img", "out"))
-    return cluster, result
+    return tracer, result
 
 
 def main() -> None:
     rows = []
     timelines = {}
     for label in ("TS", "NAS", "DAS"):
-        cluster, result = run(label)
-        timelines[label] = Timeline.from_monitors(cluster.monitors)
+        tracer, result = run(label)
+        timelines[label] = Timeline.from_spans(tracer.spans)
         rows.append(
             {
                 "scheme": label,

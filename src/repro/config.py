@@ -81,8 +81,6 @@ class SimConfig:
 
     #: Root seed for all random substreams.
     seed: int = 20120910  # ICPP 2012 conference date
-    #: Record a full event trace (slow; for debugging only).
-    trace: bool = False
     #: PFS strip size in bytes (PVFS2 default per the paper: 64 KB).
     strip_size: int = 64 * KiB
     #: Element size E in bytes (float64 raster cells).

@@ -1,13 +1,13 @@
 """One serving cell of the fleet: today's full serve stack, no workload.
 
 A :class:`Cell` *is* the :class:`~repro.serve.service.ServingStack` a
-:class:`~repro.serve.ServeSystem` has — metric registry, SLO board,
-load-aware executor, optional fault injector with membership-change
-cache invalidation, DWRR fair scheduler, optional autoscale controller —
-over a cell-private cluster and PFS that share the *fleet's* simulation
-clock.  What a cell does **not** own is arrival generation: requests
-reach it only through the :class:`~repro.fleet.router.FleetRouter`'s
-``submit``, so placement is a fleet decision, not a cell one.
+:class:`~repro.serve.ServeSystem` has — SLO board, load-aware executor,
+optional fault injector with membership-change cache invalidation, DWRR
+fair scheduler, optional autoscale controller — over a cell-private
+cluster and PFS that share the *fleet's* simulation clock.  What a cell
+does **not** own is arrival generation: requests reach it only through
+the :class:`~repro.fleet.router.FleetRouter`'s ``submit``, so placement
+is a fleet decision, not a cell one.
 
 Cells run **sharded admission slots**: the scheduler's concurrency pool
 is split per primary storage server of the request's file (the
@@ -48,6 +48,9 @@ class Cell(ServingStack):
 
         super().__init__(pfs, config, registry, slot_groups=slot_groups)
         self.name = name
+        # Every cell has nodes named s0...; a shared fleet tracer keeps
+        # their device lanes apart by cell.
+        self.cluster.monitors.lane = f"{name}/"
         self.env = pfs.cluster.env
         self._started = False
 

@@ -27,7 +27,6 @@ from ..serve.batch import combine_digests
 from ..serve.service import attach_sampler, bind_tracer
 from ..serve.workload import TenantSpec, build_workloads
 from ..sim import Environment, MonitorHub, RandomStreams
-from ..metrics.registry import MetricRegistry
 from .cell import Cell
 from .controller import FleetController
 from .longtail import LongtailAggregator, LongtailStream
@@ -98,8 +97,6 @@ class FleetSystem:
         bind_tracer(
             tracer, env, self.monitors, *(c.cluster.monitors for c in self.cells)
         )
-        #: Declared catalog over the fleet hub (cells carry their own).
-        self.metrics = MetricRegistry(self.monitors)
         self.longtail: Optional[LongtailAggregator] = None
         if longtail:
             self.longtail = LongtailAggregator(
@@ -146,8 +143,8 @@ class FleetSystem:
             self.telemetry = attach_sampler(
                 env,
                 telemetry,
-                [("fleet", self.monitors, self.metrics, fleet_rules)]
-                + [(c.name, c.cluster.monitors, c.metrics, None) for c in self.cells],
+                [("fleet", self.monitors, fleet_rules)]
+                + [(c.name, c.cluster.monitors, None) for c in self.cells],
                 active_until=self.duration,
             )
         self._ran = False

@@ -67,7 +67,7 @@ class Cluster:
         spec = spec or PlatformSpec()
         sim_config = sim_config or SimConfig()
         env = env if env is not None else Environment()
-        monitors = MonitorHub(env, trace=sim_config.trace)
+        monitors = MonitorHub(env)
         cluster = cls(env, spec, sim_config, monitors)
         for i in range(n_compute):
             cluster.add_node(f"c{i}", KIND_COMPUTE)

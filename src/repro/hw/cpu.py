@@ -73,8 +73,11 @@ class CPU:
                     )
                 c.add(env.now - start)
                 monitors = self.monitors
-                if monitors.trace_enabled:
-                    monitors.log("cpu", f"{self.owner}:{label}", seconds=seconds)
+                tracer = monitors.tracer
+                if tracer.enabled:
+                    tracer.begin(
+                        label, cat="cpu", track=monitors.lane + self.owner, at=start
+                    ).finish()
                 engine.release(req)
                 done.succeed(seconds)
 

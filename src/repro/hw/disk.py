@@ -86,6 +86,7 @@ class Disk:
             # Duration is priced at grant time: health may have changed
             # (fault injection) while the request sat in the arm queue.
             seconds = self.io_seconds(size)
+            start = env.now
 
             def on_fire(_e: Event) -> None:
                 arm.release(req)
@@ -99,10 +100,12 @@ class Disk:
                 counters[0].add(size)
                 counters[1].add(size)
                 monitors = self.monitors
-                if monitors.trace_enabled:
-                    monitors.log(
-                        "disk", f"{self.owner}:{op}", seconds=seconds, size=size
-                    )
+                tracer = monitors.tracer
+                if tracer.enabled:
+                    tracer.begin(
+                        op, cat="disk", track=monitors.lane + self.owner,
+                        at=start, size=size,
+                    ).finish()
                 done.succeed(size)
 
             timer = Timeout(env, seconds)

@@ -3,7 +3,7 @@
 The public surface is pinned by ``__all__`` so ``from repro.metrics
 import *`` is well-defined: traffic meters, the canonical nearest-rank
 latency statistics, fault/autoscale summaries, the span-projected
-:class:`Timeline`, the declared :class:`MetricRegistry` catalog, and
+:class:`Timeline`, the declared metric :data:`CATALOG`, and
 the tracing-backed :func:`critical_path` analyzer.
 """
 
@@ -17,7 +17,7 @@ from .critical_path import (
     request_attribution,
 )
 from .faults import FAULT_COUNTERS, fault_summary
-from .registry import CATALOG, Histogram, MetricRegistry, MetricSpec, catalog_lookup
+from .registry import CATALOG, Histogram, MetricSpec, catalog_lookup
 from .report import format_checks, format_latency_table, format_series, format_table
 from .stats import LatencySummary, latency_summary, percentile
 from .timeline import Timeline, render_gantt, utilization_table
@@ -29,7 +29,6 @@ __all__ = [
     "FAULT_COUNTERS",
     "Histogram",
     "LatencySummary",
-    "MetricRegistry",
     "MetricSpec",
     "RequestAttribution",
     "STAGES",

@@ -1,4 +1,4 @@
-"""A declared catalog over the MonitorHub's counters and gauges.
+"""A declared catalog over the MonitorHub's counters, gauges and histograms.
 
 `MonitorHub` is create-on-first-use: any subsystem can book any name,
 which is how four PRs of counters (``faults.*``, ``autoscale.*``,
@@ -9,12 +9,12 @@ declared exactly (:class:`MetricSpec`) or covered by a declared
 *family* — a name prefix for per-node / per-flow / per-file fan-outs
 (``net.flow.c0->s1`` is an instance of the ``net.flow.`` family).
 
-:class:`MetricRegistry` wraps a hub with catalog-aware access plus
-:class:`Histogram` support (the distribution type the hub lacks);
-``python -m repro.verify counters`` (CI: the ``record`` job) uses
-:meth:`MetricRegistry.undeclared` to fail the build when a new counter
-ships without a declaration, and docs/OPERATIONS.md documents the
-catalog itself.
+The hub checks a :class:`Histogram`'s first booking against the
+catalog (:func:`require`); counters and gauges are linted after the
+run instead: ``python -m repro.verify counters`` (CI: the ``record``
+job) fails the build when :func:`undeclared` or :func:`mistyped` finds
+a booked name the catalog does not declare with that kind, and
+docs/OPERATIONS.md documents the catalog itself.
 
 Histograms summarise through the same nearest-rank
 :func:`~repro.metrics.stats.latency_summary` the SLO board uses — one
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..errors import ServeError
 from .stats import LatencySummary, latency_summary
@@ -33,9 +33,13 @@ from .stats import LatencySummary, latency_summary
 __all__ = [
     "MetricSpec",
     "Histogram",
-    "MetricRegistry",
     "CATALOG",
     "catalog_lookup",
+    "describe",
+    "mistyped",
+    "require",
+    "snapshot",
+    "undeclared",
 ]
 
 #: Metric kinds.
@@ -288,88 +292,66 @@ class Histogram:
         }
 
 
-class MetricRegistry:
-    """Catalog-aware view over a :class:`~repro.sim.monitor.MonitorHub`.
+def require(name: str, kind: str) -> None:
+    """Raise unless the catalog declares ``name`` as a ``kind`` metric
+    (what :meth:`MonitorHub.histogram` checks at a first booking)."""
+    spec = catalog_lookup(name)
+    if spec is None:
+        raise ServeError(f"metric {name!r} is not declared in the catalog")
+    if spec.kind != kind:
+        raise ServeError(
+            f"metric {name!r} is declared as a {spec.kind}, used as a {kind}"
+        )
 
-    Counters and gauges still live in (and are booked through) the hub —
-    the registry adds declaration checking, histograms, and a unified
-    snapshot.  Attaching a registry changes nothing about how the run
-    executes; it only reads.
-    """
 
-    def __init__(self, monitors, catalog: Iterable[MetricSpec] = CATALOG):
-        self.monitors = monitors
-        self.catalog: Tuple[MetricSpec, ...] = tuple(catalog)
-        names = [s.name for s in self.catalog]
-        if len(set(names)) != len(names):
-            raise ServeError("metric catalog declares a name twice")
-        self.histograms: Dict[str, Histogram] = {}
+def _declared(catalog: Iterable[MetricSpec]) -> Tuple[MetricSpec, ...]:
+    catalog = tuple(catalog)
+    names = [s.name for s in catalog]
+    if len(set(names)) != len(names):
+        raise ServeError("metric catalog declares a name twice")
+    return catalog
 
-    # -- access ----------------------------------------------------------------
-    def spec(self, name: str) -> Optional[MetricSpec]:
-        return catalog_lookup(name, self.catalog)
 
-    def counter(self, name: str):
-        self._require(name, COUNTER)
-        return self.monitors.counter(name)
+# -- lint over a hub -----------------------------------------------------------
+def undeclared(monitors, catalog: Iterable[MetricSpec] = CATALOG) -> List[str]:
+    """Counter and gauge names booked in the hub that no entry covers
+    (histograms cannot be booked undeclared)."""
+    catalog = _declared(catalog)
+    booked = list(monitors.counters) + list(monitors.gauges)
+    return sorted(n for n in booked if catalog_lookup(n, catalog) is None)
 
-    def gauge(self, name: str):
-        self._require(name, GAUGE)
-        return self.monitors.gauge(name)
 
-    def histogram(self, name: str) -> Histogram:
-        hist = self.histograms.get(name)
-        if hist is None:
-            self._require(name, HISTOGRAM)
-            hist = self.histograms[name] = Histogram(name)
-        return hist
+def mistyped(monitors, catalog: Iterable[MetricSpec] = CATALOG) -> List[str]:
+    """Booked names whose declared kind disagrees with their use."""
+    catalog = _declared(catalog)
+    out = []
+    for kind, booked in ((COUNTER, monitors.counters), (GAUGE, monitors.gauges)):
+        for name in booked:
+            spec = catalog_lookup(name, catalog)
+            if spec is not None and spec.kind != kind:
+                out.append(f"{name}: booked as {kind}, declared {spec.kind}")
+    return sorted(out)
 
-    def _require(self, name: str, kind: str) -> None:
-        spec = self.spec(name)
-        if spec is None:
-            raise ServeError(f"metric {name!r} is not declared in the catalog")
-        if spec.kind != kind:
-            raise ServeError(
-                f"metric {name!r} is declared as a {spec.kind}, used as a {kind}"
-            )
 
-    # -- lint ------------------------------------------------------------------
-    def undeclared(self) -> List[str]:
-        """Names booked in the hub that no catalog entry covers."""
-        booked = list(self.monitors.counters) + list(self.monitors.gauges)
-        return sorted(n for n in booked if self.spec(n) is None)
+# -- reporting -----------------------------------------------------------------
+def describe(catalog: Iterable[MetricSpec] = CATALOG) -> List[dict]:
+    """The catalog as rows (docs + the counters gate render this)."""
+    return [
+        {
+            "name": s.name + ("*" if s.family else ""),
+            "kind": s.kind,
+            "unit": s.unit,
+            "help": s.help,
+        }
+        for s in _declared(catalog)
+    ]
 
-    def mistyped(self) -> List[str]:
-        """Booked names whose declared kind disagrees with their use."""
-        out = []
-        for name in self.monitors.counters:
-            spec = self.spec(name)
-            if spec is not None and spec.kind != COUNTER:
-                out.append(f"{name}: booked as counter, declared {spec.kind}")
-        for name in self.monitors.gauges:
-            spec = self.spec(name)
-            if spec is not None and spec.kind != GAUGE:
-                out.append(f"{name}: booked as gauge, declared {spec.kind}")
-        return sorted(out)
 
-    # -- reporting -------------------------------------------------------------
-    def describe(self) -> List[dict]:
-        """The catalog as rows (docs + the counters gate render this)."""
-        return [
-            {
-                "name": s.name + ("*" if s.family else ""),
-                "kind": s.kind,
-                "unit": s.unit,
-                "help": s.help,
-            }
-            for s in self.catalog
-        ]
-
-    def snapshot(self) -> Dict[str, object]:
-        """Counters, gauge levels, and histogram summaries in one dict."""
-        out: Dict[str, object] = dict(self.monitors.snapshot())
-        for name, gauge in self.monitors.gauges.items():
-            out[name] = gauge.level
-        for name, hist in sorted(self.histograms.items()):
-            out[name] = hist.as_dict()
-        return out
+def snapshot(monitors) -> Dict[str, object]:
+    """A hub's counters, gauge levels and histogram summaries in one dict."""
+    out: Dict[str, object] = dict(monitors.snapshot())
+    for name, gauge in monitors.gauges.items():
+        out[name] = gauge.level
+    for name, hist in sorted(monitors.histograms.items()):
+        out[name] = hist.as_dict()
+    return out

@@ -1,12 +1,12 @@
 """Timeline reconstruction — a projection of the span model.
 
-When a cluster is built with ``SimConfig(trace=True)``, every CPU
-kernel invocation and disk I/O leaves a trace record.  Those records
-become detached :class:`~repro.obs.span.Span` objects (see
-:func:`repro.obs.spans_from_monitor_trace`), and a :class:`Timeline`
-is nothing more than their projection onto per-``(node, kind)`` busy
-intervals; the interval algebra (merging, total measure) lives in
-:mod:`repro.obs.span` and is shared with the tracer.
+While a live :class:`~repro.obs.Tracer` sits on a cluster's monitor
+hub, every CPU and disk busy interval ``[grant, release)`` is recorded
+on it as a parentless span (cat ``cpu`` / ``disk``, track = the node).
+A :class:`Timeline` is nothing more than the projection of those spans
+onto per-``(node, kind)`` busy intervals; the interval algebra
+(merging, total measure) lives in :mod:`repro.obs.span` and is shared
+with the tracer.
 """
 
 from __future__ import annotations
@@ -15,16 +15,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..obs.span import (
-    Interval,
-    Span,
-    intervals_total,
-    merge_intervals,
-    spans_from_monitor_trace,
-)
-from ..sim.monitor import MonitorHub
+from ..obs.span import Interval, Span, intervals_total, merge_intervals
 
 __all__ = ["Interval", "Timeline", "render_gantt", "utilization_table"]
+
+#: Span categories the device models book (``hw.cpu`` / ``hw.disk``).
+DEVICE_KINDS = ("cpu", "disk")
 
 
 @dataclass
@@ -37,26 +33,17 @@ class Timeline:
 
     @classmethod
     def from_spans(cls, spans: List[Span], horizon: float = 0.0) -> "Timeline":
-        """Project device spans (track=node, cat=kind) onto busy lanes."""
+        """Project the device spans (track=node, cat=kind) of a trace
+        onto busy lanes; request-scoped spans are ignored."""
         busy: Dict[Tuple[str, str], List[Interval]] = defaultdict(list)
         for span in spans:
-            if span.end is None:
+            if span.end is None or span.cat not in DEVICE_KINDS:
                 continue
             horizon = max(horizon, span.end)
             busy[(span.track, span.cat)].append((span.start, span.end))
         for intervals in busy.values():
             intervals.sort()
         return cls(busy=dict(busy), horizon=horizon)
-
-    @classmethod
-    def from_monitors(cls, monitors: MonitorHub) -> "Timeline":
-        """Build from a trace-enabled monitor hub.
-
-        CPU and disk records carry their duration and are logged at
-        completion, so each becomes the span ``[t - seconds, t)``.
-        """
-        horizon = max((rec.time for rec in monitors.trace), default=0.0)
-        return cls.from_spans(spans_from_monitor_trace(monitors), horizon)
 
     def intervals(self, node: str, kind: str) -> List[Interval]:
         return self.busy.get((node, kind), [])
@@ -86,7 +73,7 @@ def render_gantt(timeline: Timeline, width: int = 64) -> str:
     lines = []
     scale = width / timeline.horizon
     for node in timeline.nodes():
-        for kind in ("cpu", "disk"):
+        for kind in DEVICE_KINDS:
             merged = timeline.merged(node, kind)
             if not merged:
                 continue

@@ -18,7 +18,6 @@ from .span import (
     Tracer,
     intervals_total,
     merge_intervals,
-    spans_from_monitor_trace,
 )
 from .validate import validate_trace
 
@@ -33,7 +32,6 @@ __all__ = [
     "Tracer",
     "intervals_total",
     "merge_intervals",
-    "spans_from_monitor_trace",
     "trace_document",
     "trace_events",
     "validate_trace",

@@ -11,11 +11,13 @@ nested slices are its queue wait, attempts, fences, and fan-out RPCs.
 __ https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 Lane mapping is deterministic: pid 0 is the ``system`` process holding
-the named lanes (``serve``, ``faults``, ``autoscale``); each tenant is
-a process of its own (pid 1.., sorted by name) and each request a
-thread (tid = req_id) inside its tenant.  ``args`` carries the span's
-attributes plus its ``sid``/``parent`` ids so validators (and the
-critical-path analyzer reading a file back) can rebuild the tree.
+the named lanes (``serve``, ``faults``, ``autoscale``, then one per
+device track — a node's CPU and disk spans — in order of first
+appearance); each tenant is a process of its own (pid 1.., sorted by
+name) and each request a thread (tid = req_id) inside its tenant.
+``args`` carries the span's attributes plus its ``sid``/``parent`` ids
+so validators (and the critical-path analyzer reading a file back) can
+rebuild the tree.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _span_args(span: Span) -> dict:
 def trace_events(tracer: Tracer) -> List[dict]:
     """The flat trace-event list (metadata first, then spans, instants)."""
     lanes = _Lanes(tracer)
-    events = lanes.metadata()
+    events: List[dict] = []
     horizon = max(
         [s.end for s in tracer.spans if s.end is not None]
         + [e.time for e in tracer.instants]
@@ -174,7 +176,9 @@ def trace_events(tracer: Tracer) -> List[dict]:
                 "args": dict(mark.attrs),
             }
         )
-    return events
+    # Metadata last to build, first to list: every lane (device lanes
+    # included) has been assigned by now, so each gets its name.
+    return lanes.metadata() + events
 
 
 def trace_document(tracer: Tracer, meta: Optional[dict] = None) -> dict:

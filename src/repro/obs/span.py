@@ -1,10 +1,10 @@
 """Deterministic spans on the simulation clock.
 
 A :class:`Span` is one timed interval of a request's (or the system's)
-life: queued, an attempt, a fence wait, one fan-out RPC.  Spans form a
-tree via ``parent`` span ids and carry attributes (tenant, file,
-kernel, bytes...) plus zero-duration *instant* events (a cache verdict,
-a fault, a hedge firing).
+life: queued, an attempt, a fence wait, one fan-out RPC, one CPU or
+disk busy interval.  Spans form a tree via ``parent`` span ids and
+carry attributes (tenant, file, kernel, bytes...) plus zero-duration
+*instant* events (a cache verdict, a fault, a hedge firing).
 
 The :class:`Tracer` is the collector.  Two properties are load-bearing:
 
@@ -44,7 +44,6 @@ __all__ = [
     "intervals_total",
     "rpc_reply_bytes",
     "rpc_status",
-    "spans_from_monitor_trace",
 ]
 
 Interval = Tuple[float, float]
@@ -97,7 +96,8 @@ class Span:
         self.name = name
         self.cat = cat
         #: Display lane: a request id for request-scoped spans, or a
-        #: system lane name ("faults", "autoscale", "serve").
+        #: system lane name ("faults", "autoscale", "serve", or the
+        #: node whose CPU / disk a device span occupies).
         self.track = track
         self.start = start
         self.end = end
@@ -198,7 +198,8 @@ class Tracer:
     and two sampled runs from the same seed pick identical requests.
     Sampling drops spans, never simulation events: a sampled run's
     summary is still bit-identical to the untraced run.  System-lane
-    spans and instants (faults, autoscale) are always kept.
+    spans and instants (faults, autoscale, device busy intervals) are
+    always kept.
     """
 
     enabled = True
@@ -434,33 +435,3 @@ def merge_intervals(intervals: Iterable[Interval]) -> List[Interval]:
 def intervals_total(intervals: Iterable[Interval]) -> float:
     """Total measure of an interval set (overlaps merged)."""
     return sum(b - a for a, b in merge_intervals(intervals))
-
-
-def spans_from_monitor_trace(monitors) -> List[Span]:
-    """Detached spans for a monitor hub's cpu/disk trace records.
-
-    Device records are logged at completion carrying their duration, so
-    each becomes a span ``[t - seconds, t)`` on the node's track.  This
-    is the bridge the :class:`~repro.metrics.timeline.Timeline`
-    projection is built on.
-    """
-    spans: List[Span] = []
-    for sid, rec in enumerate(monitors.trace):
-        if rec.category not in ("cpu", "disk"):
-            continue
-        seconds = float(rec.data.get("seconds", 0.0))
-        if seconds <= 0:
-            continue
-        node = rec.detail.split(":", 1)[0]
-        spans.append(
-            Span(
-                sid,
-                rec.detail,
-                rec.time - seconds,
-                cat=rec.category,
-                track=node,
-                end=rec.time,
-                attrs=dict(rec.data),
-            )
-        )
-    return spans

@@ -60,16 +60,6 @@ class FileMeta:
         return self.shape[1]
 
     # -- address arithmetic ---------------------------------------------------
-    def elem_to_byte(self, index: int) -> int:
-        return index * self.element_size
-
-    def byte_to_elem(self, offset: int) -> int:
-        return offset // self.element_size
-
     def elem_range_bytes(self, first: int, count: int) -> Tuple[int, int]:
         """(byte offset, byte length) of ``count`` elements from ``first``."""
         return first * self.element_size, count * self.element_size
-
-    def clamp_elems(self, first: int, last: int) -> Tuple[int, int]:
-        """Clamp an inclusive element range to the file bounds."""
-        return max(0, first), min(self.n_elements - 1, last)

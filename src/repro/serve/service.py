@@ -24,7 +24,6 @@ from ..faults import FaultInjector, FaultPlan, RecoveryPolicy
 from ..kernels.base import KernelRegistry
 from ..metrics.autoscale import autoscale_summary
 from ..metrics.faults import fault_summary
-from ..metrics.registry import MetricRegistry
 from ..pfs.filesystem import ParallelFileSystem
 from ..units import KiB
 from .autoscale import AutoscaleController, AutoscalePolicy
@@ -87,7 +86,8 @@ class ServeConfig:
 
 def bind_tracer(tracer, env, *hubs) -> None:
     """Put ``tracer`` (when there is one) on the run's clock and on
-    every monitor hub whose instrumentation sites should record to it."""
+    every monitor hub whose instrumentation sites should record to it —
+    the serving path's request spans and the devices' cpu/disk spans."""
     if tracer is not None:
         tracer.bind(lambda: env.now)
         for hub in hubs:
@@ -97,27 +97,27 @@ def bind_tracer(tracer, env, *hubs) -> None:
 def attach_sampler(env, config, scopes, active_until: float):
     """The run's clock-driven sampler, attached — or ``None`` without a
     telemetry ``config``.  ``scopes`` yields one ``(label, monitors,
-    registry, rules)`` per hub sampled, ``rules=None`` meaning the stock
-    serving-cell set; a scope's alert rules stop evaluating at
-    ``active_until`` (the end of offered load)."""
+    rules)`` per hub sampled, ``rules=None`` meaning the stock serving-cell
+    set; a scope's alert rules stop evaluating at ``active_until`` (the
+    end of offered load)."""
     if config is None:
         return None
     from ..telemetry import TelemetrySampler, default_serve_rules
 
     sampler = TelemetrySampler(env, config)
-    for label, monitors, registry, rules in scopes:
+    for label, monitors, rules in scopes:
         if rules is None:
             rules = default_serve_rules()
-        sampler.add_scope(label, monitors, registry, rules, active_until)
+        sampler.add_scope(label, monitors, rules, active_until)
     sampler.attach()
     return sampler
 
 
 class ServingStack:
     """The serving stack over one cluster + PFS, built in one place:
-    metric registry -> SLO board -> recovery -> load-aware executor ->
-    fault injector (with its membership hook) -> DWRR fair scheduler ->
-    optional autoscale controller.
+    SLO board -> recovery -> load-aware executor -> fault injector (with
+    its membership hook) -> DWRR fair scheduler -> optional autoscale
+    controller.
 
     It owns no arrival generation and no run loop.  A
     :class:`ServeSystem` *has* one and adds workloads and ``run()``; a
@@ -142,10 +142,7 @@ class ServingStack:
         self.pfs = pfs
         self.cluster = pfs.cluster
         self.config = config
-        #: Declared catalog over the hub's counters/gauges plus the
-        #: serving-latency histograms observed by the SLO board.
-        self.metrics = MetricRegistry(self.cluster.monitors)
-        self.board = SLOBoard(self.cluster.monitors, registry=self.metrics)
+        self.board = SLOBoard(self.cluster.monitors)
         if config.recovery is not None:
             pfs.set_recovery(config.recovery)
         self.executor = LoadAwareExecutor(
@@ -245,7 +242,7 @@ class ServeSystem:
         bind_tracer(config.tracer, env, pfs.cluster.monitors)
         self.stack = stack = ServingStack(pfs, config, registry)
         self.pfs, self.cluster, self.config = pfs, pfs.cluster, config
-        self.metrics, self.board = stack.metrics, stack.board
+        self.board = stack.board
         self.executor, self.injector = stack.executor, stack.injector
         self.scheduler, self.autoscaler = stack.scheduler, stack.autoscaler
         self.workloads = build_workloads(
@@ -256,7 +253,7 @@ class ServeSystem:
         self.telemetry = attach_sampler(
             env,
             config.telemetry,
-            [("serve", self.cluster.monitors, self.metrics, rules)],
+            [("serve", self.cluster.monitors, rules)],
             active_until=config.duration,
         )
         self._ran = False

@@ -45,8 +45,6 @@ class TenantStats:
     outcomes: Dict[str, int] = field(
         default_factory=lambda: {o: 0 for o in OUTCOMES}
     )
-    #: Arrival-to-finish latencies of completed + late requests.
-    latencies: List[float] = field(default_factory=list)
     retries: int = 0
 
     @property
@@ -67,9 +65,6 @@ class TenantStats:
         """
         settled = self.settled
         return self.finished / settled if settled else 1.0
-
-    def latency(self) -> LatencySummary:
-        return latency_summary(self.latencies)
 
 
 class SLOWindow:
@@ -131,7 +126,13 @@ class SLOWindow:
 
 
 class SLOBoard:
-    """Exactly-once outcome ledger + per-tenant latency accounting."""
+    """Exactly-once outcome ledger + per-tenant latency accounting.
+
+    Outcomes are counted as ``serve.<outcome>`` on the hub, and every
+    finished request's latency is observed into the hub's
+    ``serve.latency`` and ``serve.latency.<tenant>`` histograms — the
+    samples the summary's latency columns are computed from.
+    """
 
     #: Default sliding-window horizon (simulated seconds) for the
     #: controller-facing signal.
@@ -139,15 +140,10 @@ class SLOBoard:
 
     def __init__(
         self,
-        monitors: Optional[MonitorHub] = None,
+        monitors: MonitorHub,
         window_horizon: float = WINDOW_HORIZON,
-        registry=None,
     ):
         self.monitors = monitors
-        #: Optional :class:`~repro.metrics.registry.MetricRegistry`;
-        #: finished-request latencies are mirrored into its
-        #: ``serve.latency`` histograms (overall + per tenant).
-        self.registry = registry
         self.tenants: Dict[str, TenantStats] = {}
         #: Sliding window over finished-request latencies (completed and
         #: late alike): the signal the autoscale controller watches.
@@ -163,8 +159,7 @@ class SLOBoard:
         return stats
 
     def _count(self, name: str) -> None:
-        if self.monitors is not None:
-            self.monitors.counter(f"serve.{name}").add()
+        self.monitors.counter(f"serve.{name}").add()
 
     # -- admission ------------------------------------------------------------
     def admitted(self, req: ServeRequest) -> None:
@@ -179,7 +174,7 @@ class SLOBoard:
             raise ServeError(f"request {req.req_id} was already admitted")
         self._stats(req.tenant).rejected += 1
         self._count("rejected")
-        if self.monitors is not None and self.monitors.tracer:
+        if self.monitors.tracer:
             self.monitors.tracer.instant(
                 "admission.reject", track="serve", tenant=req.tenant, file=req.file
             )
@@ -204,15 +199,13 @@ class SLOBoard:
         stats = self._stats(req.tenant)
         stats.outcomes[outcome] += 1
         if outcome in (COMPLETED, LATE):
-            stats.latencies.append(req.latency())
-            self.window.record(req.finished, req.latency())
-            if self.registry is not None:
-                self.registry.histogram("serve.latency").observe(req.latency())
-                self.registry.histogram(
-                    f"serve.latency.{req.tenant}"
-                ).observe(req.latency())
+            latency = req.latency()
+            self.window.record(req.finished, latency)
+            monitors = self.monitors
+            monitors.histogram("serve.latency").observe(latency)
+            monitors.histogram(f"serve.latency.{req.tenant}").observe(latency)
         self._count(outcome)
-        if self.monitors is not None and self.monitors.tracer:
+        if self.monitors.tracer:
             self.monitors.tracer.request_end(req.req_id, outcome)
         # Closed-loop clients park on a per-request event until their
         # request reaches a terminal outcome; requests without the key
@@ -238,14 +231,19 @@ class SLOBoard:
         return sorted(set(self._admitted) - set(self._settled))
 
     # -- reporting ------------------------------------------------------------
+    def latency(self, tenant: Optional[str] = None) -> LatencySummary:
+        """Latency summary of one tenant's finished requests (of every
+        tenant's without ``tenant``), read off the hub's histogram."""
+        name = "serve.latency" if tenant is None else f"serve.latency.{tenant}"
+        hist = self.monitors.histograms.get(name)
+        return latency_summary(hist.samples if hist is not None else ())
+
     def summary(self, elapsed: float) -> Dict[str, dict]:
         """Deterministic per-tenant summary rows (plus an ``_all`` row)."""
         out: Dict[str, dict] = {}
-        all_latencies: List[float] = []
         for name in sorted(self.tenants):
             stats = self.tenants[name]
-            lat = stats.latency()
-            all_latencies.extend(stats.latencies)
+            lat = self.latency(name)
             out[name] = {
                 "admitted": stats.admitted,
                 "rejected": stats.rejected,
@@ -255,7 +253,7 @@ class SLOBoard:
                 **dict(stats.outcomes),
                 **{f"lat_{k}": v for k, v in lat.row.items()},
             }
-        total = latency_summary(all_latencies)
+        total = self.latency()
         all_settled = sum(s.settled for s in self.tenants.values())
         all_finished = sum(s.finished for s in self.tenants.values())
         out["_all"] = {

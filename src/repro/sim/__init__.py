@@ -7,7 +7,7 @@ Public surface:
 * :class:`Process` (returned by ``env.process``), interruptible.
 * :class:`Resource`, :class:`ReadWriteLock`, :class:`Store`,
   :class:`FilterStore`.
-* :class:`MonitorHub` for counters/gauges/traces.
+* :class:`MonitorHub` for counters/gauges/histograms.
 * :class:`RandomStreams` for reproducible named RNG substreams.
 """
 
@@ -22,7 +22,7 @@ from .events import (
     contain_failures,
     outcome_of,
 )
-from .monitor import Counter, Gauge, MonitorHub, TraceRecord
+from .monitor import Counter, Gauge, MonitorHub
 from .rand import RandomStreams
 from .resources import (
     FilterStore,
@@ -52,7 +52,6 @@ __all__ = [
     "Resource",
     "Store",
     "Timeout",
-    "TraceRecord",
     "contain_failures",
     "outcome_of",
 ]

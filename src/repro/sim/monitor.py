@@ -1,17 +1,19 @@
-"""Instrumentation: counters, time-weighted gauges and event traces.
+"""Instrumentation: counters, time-weighted gauges and histograms.
 
 Every byte that crosses a simulated link and every second a device is
-busy is recorded here; the benchmark harness reads these monitors to
+busy is tallied here; the benchmark harness reads these monitors to
 produce the paper's bandwidth and utilisation numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..obs.span import NULL_TRACER
 from .core import Environment
+
+if TYPE_CHECKING:
+    from ..metrics.registry import Histogram
 
 
 class Counter:
@@ -80,29 +82,29 @@ class Gauge:
         return total / now if now > 0 else self._level
 
 
-@dataclass(slots=True)
-class TraceRecord:
-    """One logged simulation occurrence."""
-
-    time: float
-    category: str
-    detail: str
-    data: dict = field(default_factory=dict)
-
-
 class MonitorHub:
-    """Central registry of counters/gauges plus an optional event trace."""
+    """Central registry of a run's counters, gauges and histograms.
 
-    def __init__(self, env: Environment, trace: bool = False):
+    Counters and gauges are create-on-first-use under any name (the
+    ``verify counters`` gate lints them against the declared catalog
+    after the fact); a histogram's first booking is checked against
+    that catalog up front.  Device time is not recorded here: CPUs and
+    disks book their busy intervals as spans on :attr:`tracer`.
+    """
+
+    def __init__(self, env: Environment):
         self.env = env
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
-        self.trace_enabled = trace
-        self.trace: List[TraceRecord] = []
-        # Request tracer hook: the falsy NULL_TRACER unless a serving
-        # run installs a live repro.obs.Tracer.  Imported lazily-at-
-        # module-level from obs, which depends on nothing in repro.sim.
+        self.histograms: Dict[str, "Histogram"] = {}
+        # Request tracer hook: the falsy NULL_TRACER unless a run
+        # installs a live repro.obs.Tracer.  Imported at module level
+        # from obs, which depends on nothing in repro.sim.
         self.tracer = NULL_TRACER
+        #: Prefix of the device tracks this hub's nodes record on; set
+        #: when several clusters share one tracer (a fleet cell's name),
+        #: so every cell's ``s0`` keeps a lane of its own.
+        self.lane = ""
 
     def counter(self, name: str) -> Counter:
         c = self.counters.get(name)
@@ -118,9 +120,18 @@ class MonitorHub:
             self.gauges[name] = g
         return g
 
-    def log(self, category: str, detail: str, **data) -> None:
-        if self.trace_enabled:
-            self.trace.append(TraceRecord(self.env.now, category, detail, data))
+    def histogram(self, name: str) -> "Histogram":
+        """The histogram ``name``, created at its first booking — which
+        raises unless the catalog declares ``name`` a histogram."""
+        hist = self.histograms.get(name)
+        if hist is None:
+            # repro.metrics builds on the simulator, so it is imported
+            # here, once per histogram name, not at module level.
+            from ..metrics.registry import HISTOGRAM, Histogram, require
+
+            require(name, HISTOGRAM)
+            hist = self.histograms[name] = Histogram(name)
+        return hist
 
     def counter_total(self, prefix: str) -> float:
         """Sum of all counters whose name starts with ``prefix``."""
@@ -131,7 +142,7 @@ class MonitorHub:
         return {name: c.value for name, c in self.counters.items()}
 
     def reset(self) -> None:
-        """Clear every counter, gauge, trace record and the tracer hook.
+        """Clear every counter, gauge and histogram, and the tracer hook.
 
         Gauges restart at level 0 *from the current clock* — the
         accumulated time-weighted area is discarded, so a hub reused
@@ -139,11 +150,11 @@ class MonitorHub:
         """
         self.counters.clear()
         self.gauges.clear()
-        self.trace.clear()
+        self.histograms.clear()
         self.tracer = NULL_TRACER
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<MonitorHub counters={len(self.counters)} gauges={len(self.gauges)}"
-            f" trace={len(self.trace)}>"
+            f" histograms={len(self.histograms)}>"
         )

@@ -23,7 +23,7 @@ Per scope (one serving cell, or the fleet hub) each scrape emits:
 * every hub counter matching the scrape prefixes → a ``counter`` series
   of per-interval increases,
 * every matching gauge → a ``gauge`` series of levels,
-* every matching registry histogram → ``<name>.win_p50`` /
+* every matching hub histogram → ``<name>.win_p50`` /
   ``<name>.win_p99`` / ``<name>.win_count`` quantile series over the
   observations that landed inside the interval,
 
@@ -89,15 +89,14 @@ class TelemetryConfig:
 
 
 class _Scope:
-    """One scrape target: a MonitorHub (and optionally its registry)."""
+    """One scrape target: a MonitorHub."""
 
-    __slots__ = ("label", "monitors", "registry", "bank", "engine",
+    __slots__ = ("label", "monitors", "bank", "engine",
                  "_prev_counters", "_prev_hist")
 
-    def __init__(self, label, monitors, registry, bank, engine):
+    def __init__(self, label, monitors, bank, engine):
         self.label = label
         self.monitors = monitors
-        self.registry = registry
         self.bank = bank
         self.engine = engine
         self._prev_counters: Dict[str, float] = {}
@@ -120,19 +119,18 @@ class _Scope:
         for name, gauge in monitors.gauges.items():
             if name.startswith(prefixes):
                 bank.series_for(name, "gauge").append(t, gauge.level)
-        if self.registry is not None:
-            for name, hist in self.registry.histograms.items():
-                if not name.startswith(prefixes):
-                    continue
-                samples = hist.samples
-                start = self._prev_hist.get(name, 0)
-                self._prev_hist[name] = len(samples)
-                digest = latency_summary(samples[start:])
-                bank.series_for(name + ".win_p50", "quantile").append(t, digest.p50)
-                bank.series_for(name + ".win_p99", "quantile").append(t, digest.p99)
-                bank.series_for(name + ".win_count", "quantile").append(
-                    t, float(digest.count)
-                )
+        for name, hist in monitors.histograms.items():
+            if not name.startswith(prefixes):
+                continue
+            samples = hist.samples
+            start = self._prev_hist.get(name, 0)
+            self._prev_hist[name] = len(samples)
+            digest = latency_summary(samples[start:])
+            bank.series_for(name + ".win_p50", "quantile").append(t, digest.p50)
+            bank.series_for(name + ".win_p99", "quantile").append(t, digest.p99)
+            bank.series_for(name + ".win_count", "quantile").append(
+                t, float(digest.count)
+            )
         if self.engine is not None:
             self.engine.evaluate(t)
         monitors.gauge("telemetry.series").set(float(len(bank)))
@@ -153,9 +151,7 @@ class TelemetrySampler:
         self._finalized_at: Optional[float] = None
 
     # -- wiring -----------------------------------------------------------------
-    def add_scope(
-        self, label, monitors, registry=None, rules=(), active_until=None
-    ) -> _Scope:
+    def add_scope(self, label, monitors, rules=(), active_until=None) -> _Scope:
         if any(s.label == label for s in self.scopes):
             raise SimulationError(f"duplicate telemetry scope {label!r}")
         bank = SeriesBank(capacity=self.config.capacity)
@@ -165,7 +161,7 @@ class TelemetrySampler:
                 label, tuple(rules), bank, monitors=monitors,
                 active_until=active_until,
             )
-        scope = _Scope(label, monitors, registry, bank, engine)
+        scope = _Scope(label, monitors, bank, engine)
         self.scopes.append(scope)
         return scope
 

@@ -11,8 +11,9 @@ regeneration directory holding both works).
    (required trace-event fields present, spans end after they start,
    parent sids exist, children nest inside their parents — detached
    spans excepted).
-2. The trace is non-trivial: it carries spans, root spans, process /
-   thread metadata, and declares the simulated clock.
+2. The trace is non-trivial: it carries spans, request root spans
+   (device spans are parentless too, so only ``request`` roots count),
+   process / thread metadata, and declares the simulated clock.
 3. The sibling ``<label>.attribution.json`` exists.
 
 and every ``<label>.attribution.json`` (regenerated or committed — the
@@ -69,11 +70,15 @@ def check_trace_file(path: Path) -> List[str]:
 
     events = [e for e in doc.get("traceEvents") or [] if isinstance(e, dict)]
     spans = [e for e in events if e.get("ph") == "X"]
-    roots = [e for e in spans if (e.get("args") or {}).get("parent") is None]
+    roots = [
+        e
+        for e in spans
+        if e.get("cat") == "request" and (e.get("args") or {}).get("parent") is None
+    ]
     if not spans:
         problems.append(f"{path.name}: no complete ('X') span events")
     if not roots:
-        problems.append(f"{path.name}: no root spans")
+        problems.append(f"{path.name}: no request root spans")
     if not any(e.get("ph") == "M" for e in events):
         problems.append(f"{path.name}: no process/thread ('M') metadata")
     if (doc.get("otherData") or {}).get("clock") != "simulated":
@@ -82,7 +87,7 @@ def check_trace_file(path: Path) -> List[str]:
         instants = sum(e.get("ph") == "i" for e in events)
         print(
             f"  {path.name}: {len(spans)} spans, {instants} instants,"
-            f" {len(roots)} roots — structurally valid"
+            f" {len(roots)} request roots — structurally valid"
         )
     return problems
 

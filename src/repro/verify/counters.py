@@ -11,12 +11,13 @@ the decision cache, wire accounting, device busy-time, the strip
 caches, the fault plane, the autoscale controller, the fleet tier, and
 the ``telemetry.*`` / ``alert.*`` meta-metrics.  Then it asserts:
 
-1. **Declared** — :meth:`MetricRegistry.undeclared` is empty: every
-   name booked in the MonitorHub is covered by an exact
+1. **Declared** — :func:`~repro.metrics.registry.undeclared` is empty:
+   every name booked in the MonitorHub is covered by an exact
    :class:`MetricSpec` or a declared family prefix in
-   :data:`repro.metrics.registry.CATALOG`.
-2. **Well-typed** — :meth:`MetricRegistry.mistyped` is empty: nothing
-   is booked as a counter but declared a gauge (or vice versa).
+   :data:`repro.metrics.registry.CATALOG` (a histogram's first booking
+   already raised unless it was declared one).
+2. **Well-typed** — :func:`~repro.metrics.registry.mistyped` is empty:
+   nothing is booked as a counter but declared a gauge (or vice versa).
 3. **Documented** — every catalog name (family prefixes included)
    appears verbatim in ``docs/OPERATIONS.md``, so the operator-facing
    metric reference cannot silently drift from the code.
@@ -31,7 +32,7 @@ from typing import List
 
 from ..harness.autoscale_bench import MAX_SERVERS, MIN_SERVERS, autoscale_spec
 from ..harness.fleet_bench import fleet_run, fleet_tenants
-from ..metrics.registry import CATALOG
+from ..metrics.registry import CATALOG, mistyped, undeclared
 from ..scenarios import load_scenario, run_scenario
 from ..telemetry import TelemetryConfig
 from .docs import REPO
@@ -86,38 +87,37 @@ def fleet_system():
 
 
 def check_run(
-    label: str, system, telemetry: bool = False, histograms: bool = True
+    label: str, monitors, telemetry: bool = False, histograms: bool = True
 ) -> List[str]:
     problems = []
-    registry = system.metrics
-    booked = len(registry.monitors.counters) + len(registry.monitors.gauges)
-    for name in registry.undeclared():
+    booked = len(monitors.counters) + len(monitors.gauges)
+    for name in undeclared(monitors):
         problems.append(f"{label}: booked metric {name!r} is not in the catalog")
-    for issue in registry.mistyped():
+    for issue in mistyped(monitors):
         problems.append(f"{label}: {issue}")
-    if histograms and not registry.histograms:
+    if histograms and not monitors.histograms:
         problems.append(f"{label}: no histograms were observed")
     if telemetry:
         # The sampler's own meta-metrics must land in the hub (and, via
         # the undeclared() sweep above, in the catalog).
-        if "telemetry.samples" not in registry.monitors.counters:
+        if "telemetry.samples" not in monitors.counters:
             problems.append(f"{label}: sampler booked no telemetry.samples")
-        if "alert.active" not in registry.monitors.gauges:
+        if "alert.active" not in monitors.gauges:
             problems.append(f"{label}: alert engine booked no alert.active")
     if not problems:
         print(
             f"  {label}: {booked} booked counters/gauges all declared,"
-            f" {len(registry.histograms)} histogram(s)"
+            f" {len(monitors.histograms)} histogram(s)"
         )
     return problems
 
 
 def check_fleet(system) -> List[str]:
     """The fleet hub (router/controller/long-tail metrics; it observes no
-    histograms of its own) plus every cell's own registry."""
-    problems = check_run("fleet", system, histograms=False)
+    histograms of its own) plus every cell's own hub."""
+    problems = check_run("fleet", system.monitors, histograms=False)
     for cell in system.cells:
-        problems += check_run(f"fleet/{cell.name}", cell)
+        problems += check_run(f"fleet/{cell.name}", cell.cluster.monitors)
     return problems
 
 
@@ -140,9 +140,9 @@ def check_counters() -> List[str]:
     """Drive the three runs and the docs sweep; every problem found."""
     problems: List[str] = []
     print("  running chaos-storm cell (faults + batching + recovery + telemetry):")
-    problems += check_run("storm", storm_system(), telemetry=True)
+    problems += check_run("storm", storm_system().cluster.monitors, telemetry=True)
     print("  running autoscale cell (resize up/down):")
-    problems += check_run("autoscale", autoscale_system())
+    problems += check_run("autoscale", autoscale_system().cluster.monitors)
     print("  running federated fleet (2 cells, chaos + long-tail):")
     problems += check_fleet(fleet_system())
     print("  checking the catalog against docs/OPERATIONS.md:")

@@ -100,6 +100,22 @@ def test_trace_gate_rejects_a_span_ending_before_it_starts(baseline, tmp_path):
                for p in artifacts.check_traces(tmp_path))
 
 
+def test_trace_gate_wants_request_roots_not_just_device_spans(baseline, tmp_path):
+    Replays(trace_dir=tmp_path).traced("cell", RUN, baseline, {})
+    path = tmp_path / "cell.trace.json"
+    doc = json.loads(path.read_text())
+    # Device spans are parentless and nest nowhere: a trace left with
+    # only them is structurally valid but holds no request tree.
+    doc["traceEvents"] = [
+        e for e in doc["traceEvents"]
+        if e["ph"] == "M" or e.get("cat") in ("cpu", "disk")
+    ]
+    assert validate_trace(doc) == []
+    path.write_text(json.dumps(doc))
+    assert any("no request root spans" in p
+               for p in artifacts.check_traces(tmp_path))
+
+
 def test_diagnostic_directories_leave_the_payload_bit_identical(tmp_path):
     """serve-bench at reduced scale, recorded plain vs with ``--trace-dir``
     and ``--telemetry-dir`` too: the observers' verdicts arrive as aux

@@ -1,27 +1,29 @@
-"""Tests for the declared metric catalog and the registry's linting."""
+"""Tests for the declared metric catalog, the hub's histograms and the
+catalog lint over a hub."""
 
 import pytest
 
 from repro.errors import ServeError
 from repro.metrics.registry import (
     CATALOG,
+    COUNTER,
     DEFAULT_BUCKETS,
+    GAUGE,
     Histogram,
-    MetricRegistry,
     MetricSpec,
     catalog_lookup,
+    describe,
+    mistyped,
+    require,
+    snapshot,
+    undeclared,
 )
-from repro.sim import Environment, MonitorHub
+from repro.sim import MonitorHub
 
 
 @pytest.fixture
 def hub(env):
     return MonitorHub(env)
-
-
-@pytest.fixture
-def registry(hub):
-    return MetricRegistry(hub)
 
 
 class TestCatalog:
@@ -49,57 +51,68 @@ class TestCatalog:
     def test_duplicate_declarations_are_rejected(self, hub):
         spec = MetricSpec("x", "counter", "bytes", "h")
         with pytest.raises(ServeError, match="twice"):
-            MetricRegistry(hub, catalog=(spec, spec))
+            undeclared(hub, catalog=(spec, spec))
+        with pytest.raises(ServeError, match="twice"):
+            describe((spec, spec))
 
 
 class TestLint:
-    def test_undeclared_flags_rogue_names(self, registry, hub):
+    def test_undeclared_flags_rogue_names(self, hub):
         hub.counter("serve.admitted").add()
         hub.counter("rogue.counter").add()
         hub.gauge("rogue.gauge").set(1)
-        assert registry.undeclared() == ["rogue.counter", "rogue.gauge"]
+        assert undeclared(hub) == ["rogue.counter", "rogue.gauge"]
 
-    def test_family_instances_are_declared(self, registry, hub):
+    def test_family_instances_are_declared(self, hub):
         hub.counter("net.flow.c0->s1").add(10)
         hub.counter("cpu.busy.s0").add(0.5)
-        assert registry.undeclared() == []
+        assert undeclared(hub) == []
 
-    def test_mistyped_flags_kind_disagreements(self, registry, hub):
+    def test_mistyped_flags_kind_disagreements(self, hub):
         hub.counter("serve.queue.depth").add()  # declared gauge
         hub.gauge("serve.admitted").set(1)  # declared counter
-        assert registry.mistyped() == [
+        assert mistyped(hub) == [
             "serve.admitted: booked as gauge, declared counter",
             "serve.queue.depth: booked as counter, declared gauge",
         ]
 
-    def test_clean_hub_lints_clean(self, registry, hub):
+    def test_clean_hub_lints_clean(self, hub):
         hub.counter("serve.admitted").add()
         hub.gauge("serve.queue.depth").set(1)
-        assert registry.undeclared() == []
-        assert registry.mistyped() == []
+        assert undeclared(hub) == []
+        assert mistyped(hub) == []
 
 
 class TestTypedAccess:
-    def test_counter_and_gauge_go_through_the_hub(self, registry, hub):
-        registry.counter("serve.admitted").add(2)
+    def test_counter_and_gauge_go_through_the_hub(self, hub):
+        require("serve.admitted", COUNTER)
+        hub.counter("serve.admitted").add(2)
         assert hub.counter("serve.admitted").value == 2
-        registry.gauge("serve.queue.depth").set(3)
+        require("serve.queue.depth", GAUGE)
+        hub.gauge("serve.queue.depth").set(3)
         assert hub.gauge("serve.queue.depth").level == 3
 
-    def test_undeclared_access_raises(self, registry):
+    def test_undeclared_access_raises(self, hub):
         with pytest.raises(ServeError, match="not declared"):
-            registry.counter("rogue.counter")
+            require("rogue.counter", COUNTER)
+        with pytest.raises(ServeError, match="not declared"):
+            hub.histogram("rogue.histogram")
+        assert hub.histograms == {}
 
-    def test_kind_mismatch_raises(self, registry):
+    def test_kind_mismatch_raises(self, hub):
         with pytest.raises(ServeError, match="declared as a gauge"):
-            registry.counter("serve.queue.depth")
+            require("serve.queue.depth", COUNTER)
         with pytest.raises(ServeError, match="declared as a histogram"):
-            registry.counter("serve.latency")
+            require("serve.latency", COUNTER)
+        with pytest.raises(ServeError, match="gauge, used as a histogram"):
+            hub.histogram("serve.queue.depth")
+        assert hub.histograms == {}
 
-    def test_histograms_are_cached_per_name(self, registry):
-        h = registry.histogram("serve.latency")
-        assert registry.histogram("serve.latency") is h
-        assert registry.histogram("serve.latency.alpha") is not h
+    def test_histograms_are_cached_per_name(self, hub):
+        h = hub.histogram("serve.latency")
+        assert hub.histogram("serve.latency") is h
+        assert hub.histogram("serve.latency.alpha") is not h
+        assert list(hub.histograms) == ["serve.latency", "serve.latency.alpha"]
 
 
 class TestHistogram:
@@ -144,16 +157,16 @@ class TestHistogram:
 
 
 class TestSnapshot:
-    def test_snapshot_unifies_counters_gauges_histograms(self, registry, hub):
+    def test_snapshot_unifies_counters_gauges_histograms(self, hub):
         hub.counter("serve.admitted").add(4)
         hub.gauge("serve.queue.depth").set(2)
-        registry.histogram("serve.latency").observe(0.05)
-        snap = registry.snapshot()
+        hub.histogram("serve.latency").observe(0.05)
+        snap = snapshot(hub)
         assert snap["serve.admitted"] == 4
         assert snap["serve.queue.depth"] == 2
         assert snap["serve.latency"]["count"] == 1
 
-    def test_describe_marks_families(self, registry):
-        rows = {row["name"]: row for row in registry.describe()}
+    def test_describe_marks_families(self, hub):
+        rows = {row["name"]: row for row in describe()}
         assert rows["net.flow.*"]["kind"] == "counter"
         assert rows["serve.admitted"]["unit"] == "requests"

@@ -65,18 +65,12 @@ class TestFileMeta:
         assert meta.element_size == 8
         assert meta.n_elements == 100
         assert meta.width == 10
-        assert meta.elem_to_byte(3) == 24
-        assert meta.byte_to_elem(25) == 3
         assert meta.elem_range_bytes(2, 5) == (16, 40)
 
     def test_width_requires_shape(self):
         meta = FileMeta("f", size=800, layout=LAYOUT)
         with pytest.raises(PFSError):
             _ = meta.width
-
-    def test_clamp_elems(self):
-        meta = FileMeta("f", size=800, layout=LAYOUT)
-        assert meta.clamp_elems(-5, 1000) == (0, 99)
 
     def test_dtype_normalised(self):
         meta = FileMeta("f", size=400, layout=LAYOUT, dtype="float32")

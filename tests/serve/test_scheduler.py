@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import AdmissionError, ServeError
 from repro.hw import Cluster
+from repro.sim import MonitorHub
 from repro.serve import (
     COMPLETED,
     EXPIRED,
@@ -220,8 +221,8 @@ class TestFairness:
 
 
 class TestSLOBoard:
-    def test_double_settle_raises(self):
-        board = SLOBoard()
+    def test_double_settle_raises(self, env):
+        board = SLOBoard(MonitorHub(env))
         req = make_request(1, "t")
         board.admitted(req)
         req.finished = 0.5
@@ -229,29 +230,29 @@ class TestSLOBoard:
         with pytest.raises(ServeError):
             board.settle(req, LATE)
 
-    def test_settle_without_admission_raises(self):
-        board = SLOBoard()
+    def test_settle_without_admission_raises(self, env):
+        board = SLOBoard(MonitorHub(env))
         req = make_request(1, "t")
         req.finished = 0.5
         with pytest.raises(ServeError):
             board.settle(req, COMPLETED)
 
-    def test_unknown_outcome_raises(self):
-        board = SLOBoard()
+    def test_unknown_outcome_raises(self, env):
+        board = SLOBoard(MonitorHub(env))
         req = make_request(1, "t")
         board.admitted(req)
         with pytest.raises(ServeError):
             board.settle(req, "vanished")
 
-    def test_double_admission_raises(self):
-        board = SLOBoard()
+    def test_double_admission_raises(self, env):
+        board = SLOBoard(MonitorHub(env))
         req = make_request(1, "t")
         board.admitted(req)
         with pytest.raises(ServeError):
             board.admitted(req)
 
-    def test_unsettled_lists_leaks(self):
-        board = SLOBoard()
+    def test_unsettled_lists_leaks(self, env):
+        board = SLOBoard(MonitorHub(env))
         r1, r2 = make_request(1, "t"), make_request(2, "t")
         board.admitted(r1)
         board.admitted(r2)
@@ -260,8 +261,8 @@ class TestSLOBoard:
         assert not board.conservation_ok()
         assert board.unsettled() == [2]
 
-    def test_summary_has_all_row(self):
-        board = SLOBoard()
+    def test_summary_has_all_row(self, env):
+        board = SLOBoard(MonitorHub(env))
         req = make_request(1, "t")
         board.admitted(req)
         req.finished = 0.25
@@ -270,3 +271,27 @@ class TestSLOBoard:
         assert summary["_all"]["admitted"] == 1
         assert summary["_all"]["throughput"] == 1.0
         assert summary["t"]["lat_p50"] == 0.25
+
+    def test_latency_columns_are_read_off_the_hub_histograms(self, env):
+        hub = MonitorHub(env)
+        board = SLOBoard(hub)
+        settled = [  # (req_id, tenant, arrival, finished, outcome)
+            (1, "a", 0.0, 0.5, COMPLETED),
+            (2, "b", 0.5, 0.75, LATE),
+            (3, "a", 0.25, 1.0, COMPLETED),
+            (4, "a", 0.5, None, EXPIRED),
+        ]
+        for req_id, tenant, arrival, finished, outcome in settled:
+            req = make_request(req_id, tenant, now=arrival)
+            board.admitted(req)
+            req.finished = finished
+            board.settle(req, outcome)
+        # Finished requests only, per tenant and overall, in settle order.
+        assert hub.histograms["serve.latency.a"].samples == [0.5, 0.75]
+        assert hub.histograms["serve.latency.b"].samples == [0.25]
+        assert hub.histograms["serve.latency"].samples == [0.5, 0.25, 0.75]
+        summary = board.summary(elapsed=1.0)
+        assert (summary["a"]["lat_count"], summary["a"]["lat_max"]) == (2, 0.75)
+        assert summary["a"]["lat_mean"] == 0.625
+        assert (summary["_all"]["lat_count"], summary["_all"]["lat_p50"]) == (3, 0.5)
+        assert summary["_all"]["lat_mean"] == (0.25 + 0.5 + 0.75) / 3

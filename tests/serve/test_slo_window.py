@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.serve import SLOBoard, SLOWindow
+from repro.sim import MonitorHub
 from repro.serve.workload import ServeRequest
 
 
@@ -140,8 +141,8 @@ class TestOrdering:
 class TestBoardIntegration:
     """The board feeds the window on finish outcomes only."""
 
-    def test_completed_and_late_enter_window(self):
-        board = SLOBoard(window_horizon=10.0)
+    def test_completed_and_late_enter_window(self, env):
+        board = SLOBoard(MonitorHub(env), window_horizon=10.0)
         done = make_request(1, arrival=0.0, finished=1.0)
         late = make_request(2, arrival=0.0, finished=2.0, deadline=1.5)
         board.admitted(done)
@@ -150,9 +151,9 @@ class TestBoardIntegration:
         board.settle(late, "late")
         assert board.window.count(now=2.0) == 2
 
-    def test_expired_and_failed_stay_out(self):
+    def test_expired_and_failed_stay_out(self, env):
         # Never-finished requests have no latency to report.
-        board = SLOBoard(window_horizon=10.0)
+        board = SLOBoard(MonitorHub(env), window_horizon=10.0)
         expired = make_request(1, arrival=0.0, finished=None)
         failed = make_request(2, arrival=0.0, finished=None)
         board.admitted(expired)
@@ -161,5 +162,5 @@ class TestBoardIntegration:
         board.settle(failed, "failed")
         assert board.window.count(now=5.0) == 0
 
-    def test_default_horizon(self):
-        assert SLOBoard().window.horizon == SLOBoard.WINDOW_HORIZON
+    def test_default_horizon(self, env):
+        assert SLOBoard(MonitorHub(env)).window.horizon == SLOBoard.WINDOW_HORIZON

@@ -74,15 +74,15 @@ class TestGauge:
 
 
 class TestReset:
-    def test_reset_clears_counters_gauges_and_trace(self, env):
-        hub = MonitorHub(env, trace=True)
+    def test_reset_clears_counters_gauges_and_histograms(self, env):
+        hub = MonitorHub(env)
         hub.counter("x").add(5)
         hub.gauge("y").set(2)
-        hub.log("cat", "detail")
+        hub.histogram("serve.latency").observe(0.5)
         hub.reset()
         assert hub.counters == {}
         assert hub.gauges == {}
-        assert hub.trace == []
+        assert hub.histograms == {}
 
     def test_reset_detaches_a_live_tracer(self, env):
         hub = MonitorHub(env)
@@ -107,12 +107,3 @@ class TestReset:
         # The pre-reset area is gone; only the post-reset level remains,
         # averaged over the *whole* clock by time_average's contract.
         assert g.time_average(8.0) == pytest.approx(2 * 4.0 / 8.0)
-
-    def test_log_is_gated_by_trace_enabled(self, env):
-        hub = MonitorHub(env, trace=False)
-        hub.log("cat", "detail", n=1)
-        assert hub.trace == []
-        hub.trace_enabled = True
-        hub.log("cat", "detail", n=1)
-        assert len(hub.trace) == 1
-        assert hub.trace[0].data == {"n": 1}

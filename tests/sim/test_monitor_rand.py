@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.config import PlatformSpec
+from repro.hw.cpu import CPU
+from repro.hw.disk import Disk
+from repro.obs import NULL_TRACER, Tracer
 from repro.sim import Environment, MonitorHub, RandomStreams
 
 
@@ -61,23 +65,47 @@ class TestGauge:
 
 
 class TestTrace:
+    """Device time goes on the hub's tracer: one span per busy interval,
+    recorded only while a live tracer sits on the hub."""
+
+    SPEC = PlatformSpec(disk_bandwidth=100.0, disk_seek=1.0)
+
     def test_trace_disabled_by_default(self, env):
         hub = MonitorHub(env)
-        hub.log("cat", "detail")
-        assert hub.trace == []
+        assert hub.tracer is NULL_TRACER and not hub.tracer.enabled
+        env.run(until=Disk(env, "n", self.SPEC, hub).read(100))
+        assert hub.counter("disk.read.n").value == 100  # booked regardless
 
     def test_trace_records_time_and_data(self, env):
-        hub = MonitorHub(env, trace=True)
+        hub = MonitorHub(env)
+        hub.tracer = tracer = Tracer().bind(lambda: env.now)
+        disk = Disk(env, "n", self.SPEC, hub)
 
         def proc():
             yield env.timeout(2)
-            hub.log("net", "a->b", size=10)
+            first = disk.read(100)  # granted at 2, busy [2, 4)
+            yield disk.write(50)  # queued behind it: busy [4, 5.5)
+            yield first
 
         env.run(until=env.process(proc()))
-        assert len(hub.trace) == 1
-        rec = hub.trace[0]
-        assert (rec.time, rec.category, rec.detail) == (2, "net", "a->b")
-        assert rec.data == {"size": 10}
+        assert [
+            (s.name, s.cat, s.track, s.start, s.end, s.attrs, s.parent)
+            for s in tracer.spans
+        ] == [
+            ("read", "disk", "n", 2, 4, {"size": 100}, None),
+            ("write", "disk", "n", 4, 5.5, {"size": 50}, None),
+        ]
+
+    def test_spans_are_gated_by_tracer_enabled(self, env):
+        hub = MonitorHub(env)
+        cpu = CPU(env, "n", self.SPEC, hub)
+        env.run(until=cpu.service(1.0, "untraced"))
+        hub.tracer = tracer = Tracer().bind(lambda: env.now)
+        hub.lane = "cell0/"
+        env.run(until=cpu.service(0.5, "rpc"))
+        assert [(s.name, s.cat, s.track, s.interval) for s in tracer.spans] == [
+            ("rpc", "cpu", "cell0/n", (1.0, 1.5))
+        ]
 
 
 class TestRandomStreams:

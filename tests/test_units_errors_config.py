@@ -1,5 +1,7 @@
 """Unit tests for the small foundation modules: units, errors, config."""
 
+import dataclasses
+
 import pytest
 
 from repro import errors
@@ -132,4 +134,10 @@ class TestSimConfig:
         cfg = SimConfig()
         assert cfg.strip_size == 64 * KiB  # PVFS2 default per the paper
         assert cfg.element_size == 8
-        assert not cfg.trace
+        # Tracing is not a config knob: a live Tracer on the monitor
+        # hub records device spans (see tests/metrics/test_timeline.py).
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "seed",
+            "strip_size",
+            "element_size",
+        ]
