@@ -5,7 +5,7 @@ A :class:`FaultPlan` is an immutable, time-sorted list of
 Plans can be built three ways, all deterministic:
 
 * in code — ``FaultPlan.single_crash("s1", at=2.0, recover_at=4.0)``;
-* from a **chaos spec** string (the harness ``--chaos-spec`` flag) —
+* from a **chaos spec** string (a scenario document's ``chaos.spec``) —
   ``"crash:s1@2.0;recover:s1@4.0;slow:s2@1.0x0.25;cut:c0-s3@1.0"``;
 * from a seeded RNG — ``FaultPlan.random(rng, servers, duration)``.
 

@@ -12,9 +12,9 @@ clamp logic is untouched, and a denied scale-up simply re-arms (the
 cell keeps breaching and asks again next streak).
 
 The controller also runs a fleet observation loop on the simulation
-clock: every ``interval`` it snapshots each cell's SLO window (the
-same signal the per-cell loops act on) and the fleet-wide active
-total into :attr:`trace`, and books ``fleet.active_servers`` so the
+clock: every :data:`OBSERVE_INTERVAL` it snapshots each cell's SLO
+window (the same signal the per-cell loops act on) and the fleet-wide
+active total into :attr:`trace`, and books ``fleet.active_servers`` so the
 bench can assert coordination happened where it claims.
 """
 
@@ -24,6 +24,9 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import FleetError
 from .cell import Cell
+
+#: Simulated seconds between fleet observation ticks.
+OBSERVE_INTERVAL = 0.5
 
 
 class FleetController:
@@ -35,15 +38,11 @@ class FleetController:
         cells: Sequence[Cell],
         monitors,
         budget: Optional[int] = None,
-        interval: float = 0.5,
         duration: Optional[float] = None,
     ):
-        if interval <= 0:
-            raise FleetError("controller interval must be positive")
         self.env = env
         self.cells = tuple(cells)
         self.monitors = monitors
-        self.interval = float(interval)
         self.duration = duration
         self.autoscaled = tuple(c for c in self.cells if c.autoscaler is not None)
         max_total = sum(
@@ -128,7 +127,7 @@ class FleetController:
         gauge = self.monitors.gauge("fleet.active_servers")
         gauge.set(self.total_active())
         while True:
-            yield self.env.timeout(self.interval)
+            yield self.env.timeout(OBSERVE_INTERVAL)
             now = self.env.now
             obs: Dict[str, object] = {"t": now, "total_active": self.total_active()}
             for cell in self.autoscaled:

@@ -42,6 +42,9 @@ from .cell import Cell
 
 PLACEMENT_POLICIES = ("sticky", "least-loaded", "locality")
 
+#: Simulated seconds between health-probe sweeps.
+PROBE_INTERVAL = 0.25
+
 
 class FleetRouter:
     """Routes every foreground request to exactly one cell."""
@@ -52,8 +55,6 @@ class FleetRouter:
         cells: Sequence[Cell],
         monitors,
         policy: str = "sticky",
-        spillover: bool = True,
-        probe_interval: float = 0.25,
         duration: Optional[float] = None,
         assignments: Optional[Mapping[str, str]] = None,
         longtail=None,
@@ -67,14 +68,10 @@ class FleetRouter:
             raise FleetError("a fleet needs at least one cell")
         if len({c.name for c in cells}) != len(cells):
             raise FleetError("cell names must be unique")
-        if probe_interval <= 0:
-            raise FleetError("probe_interval must be positive")
         self.env = env
         self.cells: Tuple[Cell, ...] = tuple(cells)
         self.monitors = monitors
         self.policy = policy
-        self.spillover = bool(spillover)
-        self.probe_interval = float(probe_interval)
         self.duration = duration
         self.longtail = longtail
         self._by_name = {c.name: c for c in self.cells}
@@ -113,7 +110,7 @@ class FleetRouter:
 
     def _probe_loop(self):
         while True:
-            yield self.env.timeout(self.probe_interval)
+            yield self.env.timeout(PROBE_INTERVAL)
             self._sweep()
             if self._drained():
                 return
@@ -203,15 +200,8 @@ class FleetRouter:
         """Route ``req`` to one cell; returns that cell's admission
         verdict.  Same contract as ``FairScheduler.submit``."""
         primary, candidates = self._candidates(req)
-        if not self.spillover:
-            # Placement only: the policy's first choice takes the
-            # request, full queue or degraded cell notwithstanding.
-            target = primary
-        else:
-            target = next(
-                (c for c in candidates if c.would_admit(req)), primary
-            )
-        spilled = self.spillover and target is not primary
+        target = next((c for c in candidates if c.would_admit(req)), primary)
+        spilled = target is not primary
         tracer = self.monitors.tracer
         if tracer:
             tracer.instant(

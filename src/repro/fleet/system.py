@@ -53,12 +53,8 @@ class FleetSystem:
         tenants: Tuple[TenantSpec, ...],
         duration: float,
         deadline: float,
-        load: float = 1.0,
         policy: str = "sticky",
-        spillover: bool = True,
-        probe_interval: float = 0.25,
         budget: Optional[int] = None,
-        controller_interval: float = 0.5,
         longtail: Sequence[LongtailStream] = (),
         longtail_capacity: float = 0.0,
         ramp: Optional[Tuple[Tuple[float, float], ...]] = None,
@@ -92,7 +88,6 @@ class FleetSystem:
         self.tenants = tuple(tenants)
         self.duration = float(duration)
         self.deadline = float(deadline)
-        self.load = float(load)
         self.monitors = MonitorHub(env)
         bind_tracer(
             tracer, env, self.monitors, *(c.cluster.monitors for c in self.cells)
@@ -112,8 +107,6 @@ class FleetSystem:
             self.cells,
             self.monitors,
             policy=policy,
-            spillover=spillover,
-            probe_interval=probe_interval,
             duration=self.duration,
             assignments=assignments,
             longtail=self.longtail,
@@ -123,30 +116,21 @@ class FleetSystem:
             self.cells,
             self.monitors,
             budget=budget,
-            interval=controller_interval,
             duration=self.duration,
         )
         self.workloads = build_workloads(
             _WorkloadHost(env, seed), self.tenants, self.duration,
-            self.deadline, load=self.load, ramp=ramp,
+            self.deadline, ramp=ramp,
         )
-        self.telemetry = None
-        if telemetry is not None:
-            # One sampler over every hub on the shared clock: the fleet
-            # scope (router/controller/longtail counters) plus one scope
-            # per cell, each cell evaluated against the serve rule set.
-            from ..telemetry import default_fleet_rules
-
-            fleet_rules = telemetry.rules
-            if fleet_rules is None:
-                fleet_rules = default_fleet_rules(len(self.cells))
-            self.telemetry = attach_sampler(
-                env,
-                telemetry,
-                [("fleet", self.monitors, fleet_rules)]
-                + [(c.name, c.cluster.monitors, None) for c in self.cells],
-                active_until=self.duration,
-            )
+        # One sampler over every hub on the shared clock: the fleet scope
+        # (router/controller/longtail counters) plus one scope per cell.
+        self.telemetry = attach_sampler(
+            env,
+            telemetry,
+            [(c.name, c.cluster.monitors) for c in self.cells],
+            active_until=self.duration,
+            fleet=self.monitors,
+        )
         self._ran = False
 
     # -- the run ----------------------------------------------------------------
@@ -229,7 +213,6 @@ class FleetSystem:
             "n_cells": len(self.cells),
             "duration": self.duration,
             "elapsed": elapsed,
-            "load": self.load,
             "generated": sum(w.generated for w in self.workloads),
             "routed": self.router.routed,
             "admitted": sum(c.board.total_admitted for c in self.cells),

@@ -119,12 +119,7 @@ def _row(name: str, summary: Dict[str, object], system: ServeSystem) -> dict:
 
 
 def autoscale_bench(
-    platform=None,
-    scale=None,
-    verify=True,
-    trace_dir=None,
-    trace_sample: int = 1,
-    telemetry_dir=None,
+    scale=None, verify=True, trace_dir=None, telemetry_dir=None
 ) -> ExperimentReport:
     """The autoscaling comparison (registered as ``autoscale-bench``).
 
@@ -133,16 +128,14 @@ def autoscale_bench(
     scales shorten it proportionally (floor 6 s — the control loop needs
     a few cooldown periods of calm tail to demonstrate the scale-down).
     """
-    replays = Replays(verify, trace_dir, trace_sample, telemetry_dir)
+    replays = Replays(verify, trace_dir, telemetry_dir)
     duration = scaled_duration(scale, DURATION, 6.0)
 
     rows = []
     runs = {}
     results: Dict[str, Tuple[Dict[str, object], ServeSystem]] = {}
     for name, lo, hi, ingest in CELLS:
-        runs[name] = partial(
-            run_scenario, autoscale_spec(lo, hi, ingest, duration), platform
-        )
+        runs[name] = partial(run_scenario, autoscale_spec(lo, hi, ingest, duration))
         summary, system = runs[name]()
         results[name] = (summary, system)
         rows.append(_row(name, summary, system))

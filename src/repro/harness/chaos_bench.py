@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..faults import FaultPlan, RecoveryPolicy
 from ..scenarios import ScenarioSpec, run_scenario
@@ -150,23 +150,16 @@ def _row(cell: str, summary: Dict[str, object], replicated: bool) -> dict:
 
 
 def chaos_bench(
-    platform=None,
-    scale=None,
-    verify=True,
-    schemes: Sequence[str] = CHAOS_SCHEMES,
-    chaos_spec: Optional[str] = None,
-    trace_dir=None,
-    trace_sample: int = 1,
-    telemetry_dir=None,
+    scale=None, verify=True, trace_dir=None, telemetry_dir=None
 ) -> ExperimentReport:
     """The fault-injection sweep (registered as ``chaos-bench``).
 
     ``scale`` follows the harness convention (simulated bytes per paper
     GB) and maps onto the per-cell duration exactly as in serve-bench.
-    ``chaos_spec`` optionally appends one extra DAS cell driven by a
-    user-supplied fault schedule (see ``FaultPlan.parse``).
+    A fault schedule of one's own runs as a scenario document's
+    ``chaos.spec`` (``scenario-bench --scenario``), not here.
     """
-    replays = Replays(verify, trace_dir, trace_sample, telemetry_dir)
+    replays = Replays(verify, trace_dir, telemetry_dir)
     duration = scaled_duration(scale, DURATION, 1.5)
     crash = single_crash(duration)
     storm_spec = storm(duration)
@@ -177,9 +170,7 @@ def chaos_bench(
 
     def run(cell: str, scheme: str, replicated: bool = True, **kw) -> Dict[str, object]:
         runs[cell] = partial(
-            run_scenario,
-            fault_spec(scheme, duration, replicated=replicated, **kw),
-            platform,
+            run_scenario, fault_spec(scheme, duration, replicated=replicated, **kw)
         )
         summary, _ = runs[cell]()
         summaries[cell] = summary
@@ -191,12 +182,11 @@ def chaos_bench(
     # still proves the fault/recovery plumbing is inert when unarmed.)
     parity_ok = True
     if verify:
-        for scheme in schemes:
+        for scheme in CHAOS_SCHEMES:
             chaotic, _ = run_scenario(
-                fault_spec(scheme, duration, replicated=False, deadline=DEADLINE),
-                platform,
+                fault_spec(scheme, duration, replicated=False, deadline=DEADLINE)
             )
-            plain, _ = run_scenario(serve_spec(scheme, CHAOS_LOAD, duration), platform)
+            plain, _ = run_scenario(serve_spec(scheme, CHAOS_LOAD, duration))
             parity_ok = parity_ok and chaotic == plain
 
     # Recovery armed, nothing fails: request results must be identical.
@@ -204,7 +194,7 @@ def chaos_bench(
     armed = run("recovery-armed", "DAS", recovery=CHAOS_RECOVERY)
 
     # The headline cells: one data server crashes mid-workload.
-    for scheme in schemes:
+    for scheme in CHAOS_SCHEMES:
         run(f"crash-{scheme}", scheme, chaos=crash, recovery=CHAOS_RECOVERY)
     unrep = run(
         "crash-TS-unreplicated",
@@ -219,29 +209,20 @@ def chaos_bench(
     # only).  The crash then forces the engine's fallback to normal I/O
     # while the server is down; interior strips are unreplicated, so
     # this cell measures the fallback, not 100% availability.
-    degraded = None
-    if "DAS" in schemes:
-        degraded = run(
-            "degraded-DAS",
-            "DAS",
-            replicated=False,
-            chaos=crash,
-            recovery=CHAOS_RECOVERY,
-        )
+    degraded = run(
+        "degraded-DAS", "DAS", replicated=False, chaos=crash, recovery=CHAOS_RECOVERY
+    )
 
     # Storm: every fault kind at once against DAS.
     run("storm-DAS", "DAS", chaos=storm_spec, recovery=CHAOS_RECOVERY)
 
-    if chaos_spec:
-        run("custom-DAS", "DAS", chaos=chaos_spec, recovery=CHAOS_RECOVERY)
-
-    crash_cells = [summaries[f"crash-{s}"] for s in schemes]
+    crash_cells = [summaries[f"crash-{s}"] for s in CHAOS_SCHEMES]
     #: Schemes whose serving path can survive the crash: TS reads fail
     #: over to replicas, DAS additionally falls back from offload.  NAS
     #: offloads unconditionally with no decision plane, so execs landing
     #: on the dead server fail cleanly instead — the contrast the bench
     #: exists to show.
-    survivors = [s for s in schemes if s != "NAS"]
+    survivors = [s for s in CHAOS_SCHEMES if s != "NAS"]
 
     def faults_of(s: Dict[str, object]) -> Dict[str, object]:
         return s["faults"]  # type: ignore[return-value]
@@ -276,7 +257,8 @@ def chaos_bench(
         )
     )
     crash_avail = ", ".join(
-        "{}={:g}".format(s, availability(summaries["crash-" + s])) for s in schemes
+        "{}={:g}".format(s, availability(summaries["crash-" + s]))
+        for s in CHAOS_SCHEMES
     )
     checks.append(
         (
@@ -285,16 +267,15 @@ def chaos_bench(
             all(availability(summaries["crash-" + s]) == 1.0 for s in survivors),
         )
     )
-    if "NAS" in schemes:
-        nas = summaries["crash-NAS"]
-        checks.append(
-            (
-                "NAS has no decision plane: blind offload into the crash"
-                " loses requests, but detection fails them cleanly"
-                " (availability < 1, zero hung requests)",
-                availability(nas) < 1.0 and nas["admitted"] == nas["settled"],
-            )
+    nas = summaries["crash-NAS"]
+    checks.append(
+        (
+            "NAS has no decision plane: blind offload into the crash"
+            " loses requests, but detection fails them cleanly"
+            " (availability < 1, zero hung requests)",
+            availability(nas) < 1.0 and nas["admitted"] == nas["settled"],
         )
+    )
     checks.append(
         (
             "failover actually happened: halo-replica reads served strips"
@@ -317,17 +298,15 @@ def chaos_bench(
             ),
         )
     )
-    if degraded is not None:
-        paths = degraded["paths"]  # type: ignore[index]
-        checks.append(
-            (
-                "degraded-mode decisions: on the planned (offloadable)"
-                " layout DAS stops offloading to the partially-down file"
-                " and falls back to normal I/O, then offloads again",
-                faults_of(degraded)["degraded_decisions"] > 0
-                and paths["offload"] > 0,  # type: ignore[index]
-            )
+    checks.append(
+        (
+            "degraded-mode decisions: on the planned (offloadable)"
+            " layout DAS stops offloading to the partially-down file"
+            " and falls back to normal I/O, then offloads again",
+            faults_of(degraded)["degraded_decisions"] > 0
+            and degraded["paths"]["offload"] > 0,  # type: ignore[index]
         )
+    )
     checks.append(
         (
             "replication is load-bearing: the same crash against an"
@@ -373,16 +352,12 @@ def chaos_bench(
     # windows, page, and resolve once the server heals.  (DAS cells mask
     # the same faults via fallback + hedging; their ledgers staying empty
     # is the bench's whole point.)
-    if "NAS" in schemes:
-        t_cell, expect = "crash-NAS", ("availability-burn", "latency-burn")
-    else:
-        t_cell, expect = "storm-DAS", ()
     aux_checks += replays.sampled(
-        f"chaos_{t_cell.replace('-', '_')}",
-        runs[t_cell],
-        summaries[t_cell],
-        {"bench": "chaos-bench", "cell": t_cell, "duration": duration},
-        expect_alerts=expect,
+        "chaos_crash_NAS",
+        runs["crash-NAS"],
+        nas,
+        {"bench": "chaos-bench", "cell": "crash-NAS", "duration": duration},
+        expect_alerts=("availability-burn", "latency-burn"),
     )
 
     topology = SERVE_CELL.topology
@@ -401,6 +376,5 @@ def chaos_bench(
             f" rpc_timeout={CHAOS_RECOVERY.rpc_timeout:g}s,"
             f" {CHAOS_RECOVERY.max_attempts} attempts,"
             f" hedge at {CHAOS_RECOVERY.hedge_delay:g}s."
-            + (f" Custom spec cell: {chaos_spec!r}." if chaos_spec else "")
         ),
     )

@@ -160,9 +160,7 @@ ENGINE_WORKLOADS = (
 
 
 # -- the bench --------------------------------------------------------------
-def engine_bench(
-    platform=None, scale: Optional[float] = None, verify: bool = True
-) -> ExperimentReport:
+def engine_bench(scale: Optional[float] = None, verify: bool = True) -> ExperimentReport:
     """Run the engine microbenchmarks plus one small serving cell."""
     rows: List[Dict[str, object]] = []
     checks = []

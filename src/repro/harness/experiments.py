@@ -28,7 +28,7 @@ from .chaos_bench import chaos_bench
 from .engine_bench import engine_bench
 from .experiment_report import ExperimentReport
 from .fleet_bench import fleet_bench
-from .platform import ExperimentPlatform
+from .platform import ExperimentPlatform, node_split
 from .runs import RunRecord, run_label_cell
 from .scenario_bench import scenario_bench
 from .serve_bench import serve_bench
@@ -45,7 +45,6 @@ def _grid(
     kernels: Sequence[str],
     sizes: Sequence[float],
     nodes: Sequence[int],
-    platform: Optional[ExperimentPlatform],
     scale: Optional[int],
     verify: bool,
 ) -> Dict[tuple, RunRecord]:
@@ -55,7 +54,7 @@ def _grid(
             for size in sizes:
                 for n in nodes:
                     out[(scheme, kernel, size, n)] = run_label_cell(
-                        scheme, kernel, size, n, platform, scale, verify
+                        scheme, kernel, size, n, scale=scale, verify=verify
                     )
     return out
 
@@ -65,7 +64,7 @@ def _time(cells, scheme, kernel, size, nodes) -> float:
 
 
 # ---------------------------------------------------------------------------
-def table1(platform=None, scale=None, verify=True) -> ExperimentReport:
+def table1(scale=None, verify=True) -> ExperimentReport:
     """Table I: description of the data-analysis kernels."""
     rows = []
     for name in PAPER_KERNELS:
@@ -99,15 +98,10 @@ def table1(platform=None, scale=None, verify=True) -> ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-def fig10(
-    platform=None,
-    scale=None,
-    verify=True,
-    sizes: Sequence[float] = PAPER_DATA_SIZES_GB,
-    nodes: int = DEFAULT_NODES,
-) -> ExperimentReport:
+def fig10(scale=None, verify=True) -> ExperimentReport:
     """Fig. 10: execution time of NAS vs TS — the data-dependence hit."""
-    cells = _grid(("NAS", "TS"), PAPER_KERNELS, sizes, (nodes,), platform, scale, verify)
+    sizes, nodes = PAPER_DATA_SIZES_GB, DEFAULT_NODES
+    cells = _grid(("NAS", "TS"), PAPER_KERNELS, sizes, (nodes,), scale, verify)
     rows = [rec.row for rec in cells.values()]
     checks = []
     for kernel in PAPER_KERNELS:
@@ -139,16 +133,11 @@ def fig10(
 
 
 # ---------------------------------------------------------------------------
-def fig11(
-    platform=None,
-    scale=None,
-    verify=True,
-    size_gb: float = 24,
-    nodes: int = DEFAULT_NODES,
-) -> ExperimentReport:
+def fig11(scale=None, verify=True) -> ExperimentReport:
     """Fig. 11: all three schemes at 24 GB."""
+    size_gb, nodes = 24, DEFAULT_NODES
     cells = _grid(
-        ("NAS", "DAS", "TS"), PAPER_KERNELS, (size_gb,), (nodes,), platform, scale, verify
+        ("NAS", "DAS", "TS"), PAPER_KERNELS, (size_gb,), (nodes,), scale, verify
     )
     rows = [rec.row for rec in cells.values()]
     checks = []
@@ -175,17 +164,10 @@ def fig11(
 
 
 # ---------------------------------------------------------------------------
-def fig12(
-    platform=None,
-    scale=None,
-    verify=True,
-    sizes: Sequence[float] = PAPER_DATA_SIZES_GB,
-    nodes: int = DEFAULT_NODES,
-) -> ExperimentReport:
+def fig12(scale=None, verify=True) -> ExperimentReport:
     """Fig. 12: scalability with data size, all three schemes."""
-    cells = _grid(
-        ("NAS", "DAS", "TS"), PAPER_KERNELS, sizes, (nodes,), platform, scale, verify
-    )
+    sizes, nodes = PAPER_DATA_SIZES_GB, DEFAULT_NODES
+    cells = _grid(("NAS", "DAS", "TS"), PAPER_KERNELS, sizes, (nodes,), scale, verify)
     rows = [rec.row for rec in cells.values()]
 
     def slope(scheme: str, kernel: str) -> float:
@@ -231,18 +213,10 @@ def fig12(
 
 
 # ---------------------------------------------------------------------------
-def fig13(
-    platform=None,
-    scale=None,
-    verify=True,
-    node_counts: Sequence[int] = PAPER_NODE_COUNTS,
-    size_gb: float = 60,
-) -> ExperimentReport:
+def fig13(scale=None, verify=True) -> ExperimentReport:
     """Fig. 13: scalability with node count, DAS and TS at 60 GB."""
-    cells = _grid(
-        ("DAS", "TS"), PAPER_KERNELS, (size_gb,), tuple(node_counts), platform, scale,
-        verify,
-    )
+    node_counts, size_gb = PAPER_NODE_COUNTS, 60
+    cells = _grid(("DAS", "TS"), PAPER_KERNELS, (size_gb,), node_counts, scale, verify)
     rows = [rec.row for rec in cells.values()]
     checks = []
     for kernel in PAPER_KERNELS:
@@ -268,17 +242,10 @@ def fig13(
 
 
 # ---------------------------------------------------------------------------
-def fig14(
-    platform=None,
-    scale=None,
-    verify=True,
-    sizes: Sequence[float] = (24, 36, 48),
-    nodes: int = DEFAULT_NODES,
-) -> ExperimentReport:
+def fig14(scale=None, verify=True) -> ExperimentReport:
     """Fig. 14: normalised sustained bandwidth (flow-routing)."""
-    cells = _grid(
-        ("NAS", "DAS", "TS"), ("flow-routing",), sizes, (nodes,), platform, scale, verify
-    )
+    sizes, nodes = (24, 36, 48), DEFAULT_NODES
+    cells = _grid(("NAS", "DAS", "TS"), ("flow-routing",), sizes, (nodes,), scale, verify)
     rows = []
     norm: Dict[tuple, float] = {}
     for size in sizes:
@@ -322,25 +289,19 @@ def fig14(
 
 
 # ---------------------------------------------------------------------------
-def ext_oversub(
-    platform=None,
-    scale=None,
-    verify=True,
-    size_gb: float = 24,
-    nodes: int = 16,
-    factors: Sequence[int] = (1, 4, 16),
-) -> ExperimentReport:
+def ext_oversub(scale=None, verify=True) -> ExperimentReport:
     """Extension (not in the paper): oversubscribed-fabric sweep.
 
     The bisection between the compute and storage partitions is
-    throttled by the given oversubscription factors (1 = non-blocking).
+    throttled by oversubscription factors 1 (non-blocking), 4 and 16.
     The paper's premise is that this pipe is the scarce resource; the
     sweep makes the mechanism explicit: TS's makespan tracks the
     bisection while a pre-distributed DAS offload, whose traffic stays
     inside the storage partition, does not.
     """
-    base_platform = platform or ExperimentPlatform()
-    n_storage = max(1, round(nodes * base_platform.storage_fraction))
+    size_gb, nodes, factors = 24, 16, (1, 4, 16)
+    base_platform = ExperimentPlatform()
+    _, n_storage = node_split(nodes)
     rows = []
     times: Dict[tuple, float] = {}
     for factor in factors:

@@ -36,11 +36,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..fleet import Cell, FleetSystem, LongtailStream
 from ..scenarios import ScenarioSpec, build_scenario
-from ..scenarios.platform import ExperimentPlatform
 from ..serve import AutoscalePolicy, TenantSpec
 from ..sim import Environment
 from ..units import KiB, MiB
@@ -187,7 +186,6 @@ def fleet_run(
     autoscale: bool = False,
     budget: Optional[int] = None,
     ramp: Optional[Tuple[Tuple[float, float], ...]] = None,
-    platform: Optional[ExperimentPlatform] = None,
     tracer=None,
     telemetry=None,
 ) -> Tuple[Dict[str, object], FleetSystem]:
@@ -202,7 +200,7 @@ def fleet_run(
             chaos=chaos_cell == i,
             autoscale=BUDGET_POLICY if autoscale else None,
         )
-        cells.append(Cell(f"cell-{i}", *build_scenario(spec, platform, env=env)))
+        cells.append(Cell(f"cell-{i}", *build_scenario(spec, env=env)))
     fleet = FleetSystem(
         env,
         cells,
@@ -263,13 +261,7 @@ def _rows(run: str, summary: Dict[str, object]) -> List[dict]:
 
 
 def fleet_bench(
-    platform=None,
-    scale=None,
-    verify=True,
-    cell_counts: Sequence[int] = CELL_COUNTS,
-    trace_dir=None,
-    trace_sample: int = 1,
-    telemetry_dir=None,
+    scale=None, verify=True, trace_dir=None, telemetry_dir=None
 ) -> ExperimentReport:
     """The multi-cell federation bench (registered as ``fleet-bench``).
 
@@ -280,7 +272,7 @@ def fleet_bench(
     checks only assert on full-length runs — conservation, placement
     invariance, scaling and replay assert always.
     """
-    replays = Replays(verify, trace_dir, trace_sample, telemetry_dir)
+    replays = Replays(verify, trace_dir, telemetry_dir)
     duration = scaled_duration(scale, DURATION, 1.5)
     full_length = duration >= DURATION
     tenants = fleet_tenants()
@@ -293,7 +285,7 @@ def fleet_bench(
     runs = {}
 
     def run(label: str, **kw) -> Dict[str, object]:
-        runs[label] = partial(fleet_run, platform=platform, **kw)
+        runs[label] = partial(fleet_run, **kw)
         summary, system = runs[label]()
         summaries[label] = summary
         systems[label] = system
@@ -338,7 +330,7 @@ def fleet_bench(
         )
 
     # Scaling: one tenant cohort per cell, swept over the cell counts.
-    for n in cell_counts:
+    for n in CELL_COUNTS:
         cohorts = tuple(
             TenantSpec(
                 f"cohort-{i}",
@@ -455,13 +447,13 @@ def fleet_bench(
             ),
         )
     )
-    thr = {n: _agg_throughput(summaries[f"scale-{n}"]) for n in cell_counts}
-    base = thr[cell_counts[0]]
+    thr = {n: _agg_throughput(summaries[f"scale-{n}"]) for n in CELL_COUNTS}
+    base = thr[CELL_COUNTS[0]]
     scaling_ok = base > 0 and all(
-        thr[n] >= SCALING_FLOOR * (n / cell_counts[0]) * base
-        for n in cell_counts[1:]
+        thr[n] >= SCALING_FLOOR * (n / CELL_COUNTS[0]) * base
+        for n in CELL_COUNTS[1:]
     )
-    thr_text = ", ".join(f"{n} cells {thr[n]:.2f} rps" for n in cell_counts)
+    thr_text = ", ".join(f"{n} cells {thr[n]:.2f} rps" for n in CELL_COUNTS)
     checks.append(
         (
             "scaling: aggregate throughput is near-linear in cell count"
@@ -474,7 +466,7 @@ def fleet_bench(
             "scaling: no run sheds — offered load stays proportional to"
             " capacity at every cell count",
             all(
-                summaries[f"scale-{n}"]["rejected"] == 0 for n in cell_counts
+                summaries[f"scale-{n}"]["rejected"] == 0 for n in CELL_COUNTS
             ),
         )
     )
@@ -556,7 +548,7 @@ def fleet_bench(
             f" long-tail {LONGTAIL_BYTES // KiB} KiB requests over"
             f" {LONGTAIL_CAPACITY / MiB:g} MiB/s per-cell fluid links;"
             f" scaling cohorts at {COHORT_RATE:g} rps/cell over cell counts"
-            f" {tuple(cell_counts)}; budget run: clamp"
+            f" {CELL_COUNTS}; budget run: clamp"
             f" [{MIN_SERVERS}, {MAX_SERVERS}] x2 cells vs fleet budget"
             f" {FLEET_BUDGET}."
             + (

@@ -20,6 +20,7 @@ from ..scenarios.platform import (
     ExperimentPlatform,
     build_platform,
     ingest_for_scheme,
+    node_split,
 )
 from ..workloads import DatasetSpec
 
@@ -28,6 +29,7 @@ __all__ = [
     "build_platform",
     "ingest_for_scheme",
     "make_input",
+    "node_split",
     "reference_output",
 ]
 

@@ -52,7 +52,7 @@ from ..report.loaders import (
     TRACE_SUFFIX,
 )
 from ..sim.core import untallied
-from ..telemetry import TelemetryConfig
+from ..telemetry import INTERVAL, TelemetryConfig
 
 Check = Tuple[str, bool]
 #: ``run(tracer=None, telemetry=None) -> (summary, system)``; ``system``
@@ -74,11 +74,6 @@ class Replays:
 
     verify: bool = True
     trace_dir: Optional[object] = None
-    #: With ``trace_dir``: trace only every Nth request (deterministic by
-    #: request id; see :class:`~repro.obs.Tracer`).  The identity and the
-    #: coverage/attribution bounds still hold — the latter over the
-    #: sampled requests, the only ones with span trees.
-    trace_sample: int = 1
     telemetry_dir: Optional[object] = None
 
     def verified(self, claim: str, run: RunCell, baseline) -> List[Check]:
@@ -109,15 +104,13 @@ class Replays:
         directory."""
         if self.trace_dir is None:
             return []
-        tracer = Tracer(sample=1.0 / max(1, int(self.trace_sample)))
+        tracer = Tracer()
         # The replay is verification overhead, not bench workload: keep its
         # events out of the process-wide tally so the recorded trajectory is
         # bit-identical with or without --trace-dir.
         with untallied():
             summary, _ = run(tracer=tracer)
-        doc = trace_document(
-            tracer, meta=dict(meta, sample_every=tracer.sample_every)
-        )
+        doc = trace_document(tracer, meta=meta)
         _write_json(self.trace_dir, label + TRACE_SUFFIX, doc)
         problems = validate_trace(doc)
         report = critical_path(tracer)
@@ -163,14 +156,13 @@ class Replays:
         ledger.  Empty without a telemetry directory."""
         if self.telemetry_dir is None:
             return []
-        config = TelemetryConfig()
         with untallied():  # same contract as the traced replay
-            summary, system = run(telemetry=config)
+            summary, system = run(telemetry=TelemetryConfig())
         sampler = system.telemetry
         _write_json(
             self.telemetry_dir,
             label + TELEMETRY_SUFFIX,
-            sampler.payload(label, meta=dict(meta, interval=config.interval)),
+            sampler.payload(label, meta=dict(meta, interval=INTERVAL)),
         )
         block = summary.get("telemetry")
         stripped = {k: v for k, v in summary.items() if k != "telemetry"}

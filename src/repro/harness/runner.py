@@ -28,11 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="das-harness",
         description="Regenerate the DAS paper's tables and figures in simulation.",
-        epilog=(
-            "Additional subcommand: 'report' regenerates docs/RESULTS.md"
-            " from the committed bench record (its own flags:"
-            " das-harness report --help)."
-        ),
     )
     parser.add_argument(
         "experiment",
@@ -73,16 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--trace-sample",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "with --trace-dir: trace only every Nth request"
-            " (deterministic by request id; default 1 = every request)"
-        ),
-    )
-    parser.add_argument(
         "--telemetry-dir",
         default=None,
         metavar="DIR",
@@ -92,25 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
             " sampler + alert engine on, write DIR/<cell>.telemetry.json"
             " (validated by python -m repro.verify telemetry), and check the"
             " sampled run is bit-identical to the unsampled one"
-        ),
-    )
-    parser.add_argument(
-        "--chaos-spec",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "chaos-bench only: run one extra DAS cell under this fault"
-            " schedule, e.g. 'crash:s1@1.0;recover:s1@3.0;slow:s2@2.0x0.1'"
-        ),
-    )
-    parser.add_argument(
-        "--batch-max",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "serve-bench only: merge up to N same-(file, kernel) requests"
-            " into one fan-out (1 disables batching; default: bench default)"
         ),
     )
     parser.add_argument(
@@ -127,13 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "report":
-        # The results-report subcommand has its own argparse surface
-        # (different flags, no simulation); dispatch before parsing.
-        from .report import main as report_main
-
-        return report_main(argv[1:])
     args = build_parser().parse_args(argv)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     failures = 0
@@ -143,11 +102,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     options = {
         "scale": args.scale_kb * KiB,
         "verify": not args.no_verify,
-        "batch_max": args.batch_max,
-        "chaos_spec": args.chaos_spec,
         "scenarios": tuple(args.scenario) if args.scenario else None,
         "trace_dir": args.trace_dir,
-        "trace_sample": args.trace_sample,
         "telemetry_dir": args.telemetry_dir,
     }
     for name in names:

@@ -73,12 +73,10 @@ def _scenario_row(spec: ScenarioSpec, summary: dict) -> dict:
 
 
 def scenario_bench(
-    platform=None,
     scale=None,
     verify: bool = True,
     scenarios: Optional[Sequence[object]] = None,
     trace_dir=None,
-    trace_sample: int = 1,
 ) -> ExperimentReport:
     """Run scenarios and their gates (registered as ``scenario-bench``).
 
@@ -89,21 +87,21 @@ def scenario_bench(
     ``verify`` re-runs each scenario and asserts the summary (resizes,
     fault tallies and digests included) is bit-identical.
     """
-    replays = Replays(verify, trace_dir, trace_sample)
+    replays = Replays(verify, trace_dir)
     specs = _resolve(scenarios)
 
     rows = []
     checks: List[Tuple[str, bool]] = []
     recorded = {}
     for spec in specs:
-        run = partial(run_scenario, spec, platform)
+        run = partial(run_scenario, spec)
         summary, system = run()
         recorded[spec.name] = (run, summary)
         rows.append(_scenario_row(spec, summary))
         reference = None
         if any(c.check == "crc_identity" for c in spec.checks):
             # The fault-free twin every surviving result must match.
-            twin_summary, twin = run_scenario(reference_spec(spec), platform)
+            twin_summary, twin = run_scenario(reference_spec(spec))
             reference = (twin_summary, twin.executor.digests)
         for label, ok in evaluate_checks(
             spec.checks,

@@ -162,14 +162,12 @@ def _sustained(
 
 
 def serve_bench(
-    platform=None,
     scale=None,
     verify=True,
     loads: Sequence[float] = DEFAULT_LOADS,
     schemes: Sequence[str] = SERVE_SCHEMES,
     batch_max: int = DEFAULT_BATCH_MAX,
     trace_dir=None,
-    trace_sample: int = 1,
     telemetry_dir=None,
 ) -> ExperimentReport:
     """The serving-layer sweep (registered as ``serve-bench``).
@@ -183,12 +181,12 @@ def serve_bench(
     both ways — for the amortisation comparison; ``batch_max=1``
     reproduces the plain three-scheme sweep.
     """
-    replays = Replays(verify, trace_dir, trace_sample, telemetry_dir)
+    replays = Replays(verify, trace_dir, telemetry_dir)
     duration = scaled_duration(scale, DURATION, 1.5)
 
     def cell(scheme, load, batch=1):
         return partial(
-            run_scenario, serve_spec(scheme, load, duration, batch_max=batch), platform
+            run_scenario, serve_spec(scheme, load, duration, batch_max=batch)
         )
 
     batching = batch_max > 1 and "DAS" in schemes

@@ -13,13 +13,20 @@ III-A), connected by a switched fabric.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..config import PlatformSpec, SimConfig
 from ..errors import SimulationError
 from ..net import Fabric, Transport
 from ..sim import Environment, MonitorHub, RandomStreams
 from .node import KIND_COMPUTE, KIND_STORAGE, Node
+
+
+def node_names(n_compute: int, n_storage: int) -> Tuple[str, ...]:
+    """The names :meth:`Cluster.build` gives its nodes, compute first."""
+    return tuple(f"c{i}" for i in range(n_compute)) + tuple(
+        f"s{i}" for i in range(n_storage)
+    )
 
 
 class Cluster:
@@ -69,10 +76,8 @@ class Cluster:
         env = env if env is not None else Environment()
         monitors = MonitorHub(env)
         cluster = cls(env, spec, sim_config, monitors)
-        for i in range(n_compute):
-            cluster.add_node(f"c{i}", KIND_COMPUTE)
-        for i in range(n_storage):
-            cluster.add_node(f"s{i}", KIND_STORAGE)
+        for i, name in enumerate(node_names(n_compute, n_storage)):
+            cluster.add_node(name, KIND_COMPUTE if i < n_compute else KIND_STORAGE)
         return cluster
 
     def add_node(self, name: str, kind: str) -> Node:

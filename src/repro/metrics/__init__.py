@@ -18,7 +18,7 @@ from .critical_path import (
 )
 from .faults import FAULT_COUNTERS, fault_summary
 from .registry import CATALOG, Histogram, MetricSpec, catalog_lookup
-from .report import format_checks, format_latency_table, format_series, format_table
+from .report import format_checks, format_table
 from .stats import LatencySummary, latency_summary, percentile
 from .timeline import Timeline, render_gantt, utilization_table
 
@@ -40,8 +40,6 @@ __all__ = [
     "critical_path",
     "fault_summary",
     "format_checks",
-    "format_latency_table",
-    "format_series",
     "format_table",
     "latency_summary",
     "percentile",

@@ -35,10 +35,8 @@ __all__ = [
     "Histogram",
     "CATALOG",
     "catalog_lookup",
-    "describe",
     "mistyped",
     "require",
-    "snapshot",
     "undeclared",
 ]
 
@@ -332,26 +330,3 @@ def mistyped(monitors, catalog: Iterable[MetricSpec] = CATALOG) -> List[str]:
                 out.append(f"{name}: booked as {kind}, declared {spec.kind}")
     return sorted(out)
 
-
-# -- reporting -----------------------------------------------------------------
-def describe(catalog: Iterable[MetricSpec] = CATALOG) -> List[dict]:
-    """The catalog as rows (docs + the counters gate render this)."""
-    return [
-        {
-            "name": s.name + ("*" if s.family else ""),
-            "kind": s.kind,
-            "unit": s.unit,
-            "help": s.help,
-        }
-        for s in _declared(catalog)
-    ]
-
-
-def snapshot(monitors) -> Dict[str, object]:
-    """A hub's counters, gauge levels and histogram summaries in one dict."""
-    out: Dict[str, object] = dict(monitors.snapshot())
-    for name, gauge in monitors.gauges.items():
-        out[name] = gauge.level
-    for name, hist in sorted(monitors.histograms.items()):
-        out[name] = hist.as_dict()
-    return out

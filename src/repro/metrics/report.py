@@ -1,4 +1,4 @@
-"""Plain-text table/series rendering for experiment reports.
+"""Plain-text table rendering for experiment reports.
 
 The harness prints the same rows/series the paper's figures plot, plus
 a shape-check section stating whether each of the paper's qualitative
@@ -7,9 +7,7 @@ claims held in this run.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
-
-from .stats import LatencySummary
+from typing import Any, Dict, Sequence, Tuple
 
 
 def format_table(rows: Sequence[Dict[str, Any]], columns: Sequence[str] | None = None) -> str:
@@ -34,35 +32,6 @@ def format_table(rows: Sequence[Dict[str, Any]], columns: Sequence[str] | None =
         for line in cells
     )
     return f"{header}\n{rule}\n{body}"
-
-
-def format_series(
-    title: str, series: Dict[str, List[Tuple[Any, float]]], unit: str = ""
-) -> str:
-    """Render named (x, y) series like the paper's line charts."""
-    lines = [title]
-    for name in sorted(series):
-        points = ", ".join(f"{x}: {y:.4g}{unit}" for x, y in series[name])
-        lines.append(f"  {name:28s} {points}")
-    return "\n".join(lines)
-
-
-def format_latency_table(
-    summaries: Dict[str, LatencySummary], unit: str = "s", scale: float = 1.0
-) -> str:
-    """Render named latency digests as one table row per name.
-
-    ``scale`` multiplies every statistic (e.g. 1e3 with ``unit="ms"``).
-    All aggregation lives in :func:`repro.metrics.stats.latency_summary`;
-    this function only formats.
-    """
-    rows = []
-    for name, summary in summaries.items():
-        row: Dict[str, Any] = {"name": name, "count": summary.count}
-        for stat in ("mean", "p50", "p95", "p99", "max"):
-            row[f"{stat}_{unit}"] = getattr(summary, stat) * scale
-        rows.append(row)
-    return format_table(rows)
 
 
 def format_checks(checks: Sequence[Tuple[str, bool]]) -> str:

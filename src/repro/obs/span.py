@@ -189,43 +189,22 @@ NULL_SPAN = NullSpan()
 
 
 class Tracer:
-    """Collects spans and instants against an externally owned clock.
-
-    ``sample`` (a fraction in ``(0, 1]``, e.g. ``1/8``) keeps only every
-    Nth *request* tree, chosen deterministically by request id — request
-    ``r`` is traced iff ``r % round(1/sample) == 0`` — so a sampled
-    trace of a run is a strict subset of the full trace of the same run
-    and two sampled runs from the same seed pick identical requests.
-    Sampling drops spans, never simulation events: a sampled run's
-    summary is still bit-identical to the untraced run.  System-lane
-    spans and instants (faults, autoscale, device busy intervals) are
-    always kept.
-    """
+    """Collects spans and instants against an externally owned clock:
+    every admitted request's tree, plus the system lanes (faults,
+    autoscale, device busy intervals)."""
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        sample: float = 1.0,
-    ):
-        if not 0.0 < sample <= 1.0:
-            raise ValueError(f"sample must be in (0, 1], got {sample!r}")
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock
-        #: Trace every Nth request (1 = every request).
-        self.sample_every = max(1, round(1.0 / sample))
         self._next_sid = 0
         self._by_sid: Dict[int, Span] = {}
         self.spans: List[Span] = []
         self.instants: List[SpanEvent] = []
         #: Extra lane hint per instant (parallel to :attr:`instants`).
         self._instant_tracks: List[object] = []
-        #: req_id -> root span, the per-request registry (sampled only).
+        #: req_id -> root span, the per-request registry.
         self.requests: Dict[int, Span] = {}
-
-    def sampled(self, req_id: int) -> bool:
-        """Whether this request id is traced under the sampling rate."""
-        return req_id % self.sample_every == 0
 
     def __bool__(self) -> bool:
         return True
@@ -251,9 +230,9 @@ class Tracer:
     ) -> Span:
         """Open a span starting now (or at an explicit time).
 
-        A :data:`NULL_SPAN` parent means the parent tree was sampled
-        out: the child is dropped too (sampling is inherited), so an
-        unsampled request contributes no spans at all.
+        A :data:`NULL_SPAN` parent means there is no tree to hang the
+        child on (work done outside any traced request, or a request id
+        the registry does not know): the child is dropped too.
         """
         if isinstance(parent, Span):
             parent_sid = parent.sid
@@ -320,14 +299,7 @@ class Tracer:
 
     # -- per-request registry --------------------------------------------------
     def request_begin(self, req, at: Optional[float] = None):
-        """Open (and register) the root span of an admitted request.
-
-        Returns :data:`NULL_SPAN` (registering nothing) for requests the
-        sampling rate drops; every child span guarded by
-        :meth:`request_span` then collapses to :data:`NULL_SPAN` too.
-        """
-        if not self.sampled(req.req_id):
-            return NULL_SPAN
+        """Open (and register) the root span of an admitted request."""
         root = self.begin(
             "request",
             cat="request",

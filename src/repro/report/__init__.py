@@ -19,9 +19,8 @@ what ``python -m repro.verify results`` (CI ``record``) enforces: a
 change that shifts a number must regenerate the report in the same
 commit, or the drift gate fails.
 
-Entry points: ``python -m repro.harness report`` (the harness
-subcommand, :mod:`repro.harness.report`) and
-:func:`repro.report.generate_results`.
+Entry points: ``python -m repro.report`` (:mod:`repro.report.__main__`)
+and :func:`repro.report.generate_results`.
 """
 
 from .emit import generate_results

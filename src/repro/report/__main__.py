@@ -1,6 +1,6 @@
-"""``python -m repro.harness report`` — regenerate docs/RESULTS.md.
+"""``python -m repro.report`` — regenerate docs/RESULTS.md.
 
-The results document is generated, never hand-edited: this subcommand
+The results document is generated, never hand-edited: this entry point
 renders it from the committed measurement record (``benchmarks/``,
 ``benchmarks/history/``, ``benchmarks/attribution/``,
 ``benchmarks/telemetry/``) via :func:`repro.report.generate_results`
@@ -10,20 +10,23 @@ which calls the same function.
 
 Run from the repository root::
 
-    PYTHONPATH=src python -m repro.harness report
-    PYTHONPATH=src python -m repro.harness report --output /tmp/RESULTS.md
+    PYTHONPATH=src python -m repro.report
+    PYTHONPATH=src python -m repro.report --output /tmp/RESULTS.md
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 from typing import List, Optional
+
+from .emit import generate_results
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="das-harness report",
+        prog="python -m repro.report",
         description=(
             "Regenerate docs/RESULTS.md from the committed bench snapshots,"
             " history ledger and attribution fixtures."
@@ -50,11 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    from ..report import generate_results
-
     text = generate_results(args.benchmarks_dir)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text, encoding="utf-8")
     print(f"wrote {out} ({len(text.splitlines())} lines)")
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

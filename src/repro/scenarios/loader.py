@@ -23,7 +23,8 @@ from ..faults import FaultPlan, RecoveryPolicy
 from ..kernels import default_registry
 from ..serve import SCHEMES, AutoscalePolicy, RetryPolicy, TenantSpec
 from .checks import CHECKS, validate_check
-from .platform import INGEST_POLICIES
+from ..hw.cluster import node_names
+from .platform import INGEST_POLICIES, node_split
 from .spec import (
     AUTOSCALE_KEYS,
     CHAOS_KEYS,
@@ -294,7 +295,7 @@ def _load_topology(ld: _Loader, section: dict) -> TopologySpec:
             "topology.raster",
             f"must be a [rows, cols] pair of positive integers, got {raster!r}",
         )
-    n_storage = max(1, round(nodes * 0.5))
+    _, n_storage = node_split(nodes)
     partition = ld.number(
         section, "partition_servers", "topology", integer=True, minimum=1
     )
@@ -453,15 +454,6 @@ def _load_tenant(
         raise ld.fail(path, str(exc)) from None
 
 
-def _node_names(topology: TopologySpec) -> Tuple[str, ...]:
-    """The deterministic node names of the scenario's cluster."""
-    n_storage = max(1, round(topology.nodes * 0.5))
-    n_compute = topology.nodes - n_storage
-    return tuple(f"c{i}" for i in range(n_compute)) + tuple(
-        f"s{i}" for i in range(n_storage)
-    )
-
-
 def _load_chaos(ld: _Loader, section, topology: TopologySpec, duration: float):
     if section is None:
         return None, None
@@ -471,7 +463,7 @@ def _load_chaos(ld: _Loader, section, topology: TopologySpec, duration: float):
         plan = FaultPlan.parse(text)
     except ReproError as exc:
         raise ld.fail("chaos.spec", str(exc)) from None
-    nodes = _node_names(topology)
+    nodes = node_names(*node_split(topology.nodes))
     for event in plan:
         for target in filter(None, (event.target, event.peer)):
             if target not in nodes:
@@ -520,7 +512,7 @@ def _load_autoscale(ld: _Loader, section, topology: TopologySpec):
     if section is None:
         return None
     policy = _load_policy(ld, AutoscalePolicy, AUTOSCALE_KEYS, section, "autoscale")
-    n_storage = max(1, round(topology.nodes * 0.5))
+    _, n_storage = node_split(topology.nodes)
     if policy.max_servers > n_storage:
         raise ld.fail(
             "autoscale.max_servers",

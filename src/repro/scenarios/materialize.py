@@ -30,30 +30,24 @@ from .platform import (
 from .spec import ScenarioSpec
 
 
-def scenario_platform(
-    spec: ScenarioSpec, platform: Optional[ExperimentPlatform] = None
-) -> ExperimentPlatform:
+def scenario_platform(spec: ScenarioSpec) -> ExperimentPlatform:
     """The platform preset for one scenario: the serving benches'
-    throttled spec unless the caller overrides it, always re-seeded
-    from the spec so replay is a property of the document alone."""
-    if platform is None:
-        platform = ExperimentPlatform(spec=SERVE_SPEC, strip_size=SERVE_STRIP)
-    return dataclasses.replace(platform, seed=spec.seed)
+    throttled spec, seeded from the spec so replay is a property of the
+    document alone."""
+    return ExperimentPlatform(
+        spec=SERVE_SPEC, strip_size=SERVE_STRIP, seed=spec.seed
+    )
 
 
 def build_scenario(
-    spec: ScenarioSpec,
-    platform: Optional[ExperimentPlatform] = None,
-    env=None,
+    spec: ScenarioSpec, env=None
 ) -> Tuple[ParallelFileSystem, ServeConfig]:
     """Materialize the spec: cluster, ingested files, serve config.
 
     ``env`` puts the cell on a shared :class:`~repro.sim.Environment`
     (fleet cells live on one clock); the default is a fresh one.
     """
-    cluster, pfs = build_platform(
-        spec.topology.nodes, scenario_platform(spec, platform), env=env
-    )
+    _, pfs = build_platform(spec.topology.nodes, scenario_platform(spec), env=env)
     servers = None
     if spec.topology.partition_servers is not None:
         servers = pfs.server_names[: spec.topology.partition_servers]
@@ -99,7 +93,6 @@ def build_scenario(
 
 def run_scenario(
     spec: ScenarioSpec,
-    platform: Optional[ExperimentPlatform] = None,
     tracer: Optional[object] = None,
     telemetry: Optional[object] = None,
 ) -> Tuple[dict, ServeSystem]:
@@ -109,7 +102,7 @@ def run_scenario(
     per-request result digests the ``crc_identity`` check compares are
     ``system.executor.digests``.
     """
-    pfs, config = build_scenario(spec, platform)
+    pfs, config = build_scenario(spec)
     if tracer is not None:
         config = dataclasses.replace(config, tracer=tracer)
     if telemetry is not None:

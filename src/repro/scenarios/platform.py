@@ -70,9 +70,16 @@ class ExperimentPlatform:
 
     spec: PlatformSpec = field(default_factory=PlatformSpec)
     strip_size: int = 64 * KiB
-    #: Ratio of storage nodes to total nodes (paper default 1:1).
-    storage_fraction: float = 0.5
     seed: int = 20120910
+
+
+def node_split(n_nodes: int) -> Tuple[int, int]:
+    """``(n_compute, n_storage)`` of an ``n_nodes`` cluster: the paper's
+    1:1 ratio, storage rounded half to even and never below one node.
+    Every cluster a cell builds, and every node name or count a scenario
+    document is checked against, comes from this split."""
+    n_storage = max(1, round(n_nodes * 0.5))
+    return n_nodes - n_storage, n_storage
 
 
 def build_platform(
@@ -87,8 +94,7 @@ def build_platform(
     one simulation clock; the default builds a fresh environment.
     """
     platform = platform or ExperimentPlatform()
-    n_storage = max(1, round(n_nodes * platform.storage_fraction))
-    n_compute = n_nodes - n_storage
+    n_compute, n_storage = node_split(n_nodes)
     if n_compute < 1:
         raise HarnessError(f"{n_nodes} nodes leave no compute partition")
     cluster = Cluster.build(

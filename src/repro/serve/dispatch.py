@@ -68,7 +68,6 @@ class LoadAwareExecutor:
         pfs: ParallelFileSystem,
         scheme: str = "DAS",
         registry: Optional[KernelRegistry] = None,
-        decision_cache: Optional[DecisionCache] = None,
         load_bias: float = 0.75,
         recovery=None,
         decision_ttl: Optional[float] = None,
@@ -97,7 +96,7 @@ class LoadAwareExecutor:
         elif scheme == "DAS":
             engine = DecisionEngine()
             env = self.env  # the clock hook must not own the executor
-            self.cache = decision_cache or DecisionCache(
+            self.cache = DecisionCache(
                 engine,
                 ttl=decision_ttl,
                 clock=(lambda: env.now) if decision_ttl is not None else None,

@@ -279,30 +279,23 @@ class FairScheduler:
             span.finish()
 
     def _attempt_spans(self, batch: List[ServeRequest]) -> List[object]:
-        """One "attempt" span per member; non-anchor members reference
-        the anchor's span id (``shared``) so the critical-path analyzer
-        attributes the single shared fan-out to every member of the
-        batch.  The anchor is the first *sampled* member — normally the
-        leader, but under trace sampling the leader's tree may be
-        dropped while a rider's is kept, and the fan-out must then hang
-        off the rider so its trace stays complete."""
+        """One "attempt" span per member; the riders reference the
+        leader's span id (``shared``) so the critical-path analyzer
+        attributes the single shared fan-out, which hangs off the
+        leader, to every member of the batch."""
         tracer = self._monitors.tracer
-        spans: List[object] = []
-        anchor = None
-        for member in batch:
-            span = tracer.begin(
+        spans = [
+            tracer.begin(
                 "attempt",
                 cat="attempt",
                 parent=tracer.request_span(member.req_id),
                 attempt=member.attempts,
                 members=len(batch),
             )
-            if span:
-                if anchor is None:
-                    anchor = span
-                else:
-                    span.annotate(shared=anchor.sid)
-            spans.append(span)
+            for member in batch
+        ]
+        for span in spans[1:]:
+            span.annotate(shared=spans[0].sid)
         return spans
 
     # -- per-batch execution with retry ---------------------------------------
@@ -315,7 +308,7 @@ class FairScheduler:
                 for req in batch:
                     req.attempts += 1
                 spans = self._attempt_spans(batch) if tracer else ()
-                lead_span = next((s for s in spans if s), NULL_SPAN)
+                lead_span = spans[0] if spans else NULL_SPAN
                 try:
                     result = yield self.executor.execute_batch(
                         batch, span=lead_span

@@ -94,21 +94,24 @@ def bind_tracer(tracer, env, *hubs) -> None:
             hub.tracer = tracer
 
 
-def attach_sampler(env, config, scopes, active_until: float):
+def attach_sampler(env, config, cells, active_until: float, fleet=None):
     """The run's clock-driven sampler, attached — or ``None`` without a
-    telemetry ``config``.  ``scopes`` yields one ``(label, monitors,
-    rules)`` per hub sampled, ``rules=None`` meaning the stock serving-cell
-    set; a scope's alert rules stop evaluating at ``active_until`` (the
-    end of offered load)."""
+    telemetry ``config``.  ``cells`` lists one ``(label, monitors)`` per
+    serving cell, each sampled under the stock serving rules; ``fleet``
+    is the fleet hub, sampled first under the stock fleet rules.  A
+    scope's alert rules stop evaluating at ``active_until`` (the end of
+    offered load)."""
     if config is None:
         return None
-    from ..telemetry import TelemetrySampler, default_serve_rules
+    from ..telemetry import TelemetrySampler, default_fleet_rules, default_serve_rules
 
-    sampler = TelemetrySampler(env, config)
-    for label, monitors, rules in scopes:
-        if rules is None:
-            rules = default_serve_rules()
-        sampler.add_scope(label, monitors, rules, active_until)
+    sampler = TelemetrySampler(env)
+    if fleet is not None:
+        sampler.add_scope(
+            "fleet", fleet, default_fleet_rules(len(cells)), active_until
+        )
+    for label, monitors in cells:
+        sampler.add_scope(label, monitors, default_serve_rules(), active_until)
     sampler.attach()
     return sampler
 
@@ -249,11 +252,10 @@ class ServeSystem:
             self.cluster, config.tenants, config.duration, config.deadline,
             load=config.load, ramp=config.ramp,
         )
-        rules = config.telemetry.rules if config.telemetry is not None else None
         self.telemetry = attach_sampler(
             env,
             config.telemetry,
-            [("serve", self.cluster.monitors, rules)],
+            [("serve", self.cluster.monitors)],
             active_until=config.duration,
         )
         self._ran = False

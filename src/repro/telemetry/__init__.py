@@ -17,10 +17,18 @@ from .alerts import (
     default_fleet_rules,
     default_serve_rules,
 )
-from .sampler import SCRAPE_PREFIXES, TelemetryConfig, TelemetrySampler
+from .sampler import (
+    CAPACITY,
+    INTERVAL,
+    SCRAPE_PREFIXES,
+    TelemetryConfig,
+    TelemetrySampler,
+)
 from .series import KINDS, Series, SeriesBank
 
 __all__ = [
+    "CAPACITY",
+    "INTERVAL",
     "KINDS",
     "RULE_KINDS",
     "SCRAPE_PREFIXES",

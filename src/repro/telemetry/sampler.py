@@ -18,7 +18,11 @@ field are bit-identical with sampling on or off.  (It *does* book its
 own ``telemetry.*`` / ``alert.*`` meta-metrics into the hub it scrapes;
 summaries read named metrics, so extra bookings are invisible to them.)
 
-Per scope (one serving cell, or the fleet hub) each scrape emits:
+Sampling runs on one fixed grid (:data:`INTERVAL`) into rings of
+:data:`CAPACITY` points, and alerting on the scope's stock rule set
+(:func:`~repro.telemetry.alerts.default_serve_rules` for a serving
+cell, :func:`~repro.telemetry.alerts.default_fleet_rules` for the fleet
+hub).  Per scope each scrape emits:
 
 * every hub counter matching the scrape prefixes → a ``counter`` series
   of per-interval increases,
@@ -33,14 +37,21 @@ then runs the scope's :class:`~repro.telemetry.alerts.AlertEngine`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import SimulationError
 from ..metrics.stats import latency_summary
-from .alerts import AlertEngine, AlertRule
+from .alerts import AlertEngine
 from .series import SeriesBank
 
-__all__ = ["SCHEMA", "SCRAPE_PREFIXES", "TelemetryConfig", "TelemetrySampler"]
+__all__ = [
+    "CAPACITY",
+    "INTERVAL",
+    "SCHEMA",
+    "SCRAPE_PREFIXES",
+    "TelemetryConfig",
+    "TelemetrySampler",
+]
 
 #: Schema marker every ``<cell>.telemetry.json`` artifact carries.
 SCHEMA = "repro.telemetry/1"
@@ -58,34 +69,19 @@ SCRAPE_PREFIXES = (
     "alert.",
 )
 
+#: Simulated seconds between sampling boundaries.
+INTERVAL = 0.25
+
+#: Points each series ring keeps (older points are dropped and counted).
+CAPACITY = 512
+
 _EPS = 1e-9
 
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """How a system under test wires its sampler.
-
-    ``rules=None`` means the scope-appropriate default rule set
-    (:func:`~repro.telemetry.alerts.default_serve_rules` for a serving
-    cell, :func:`~repro.telemetry.alerts.default_fleet_rules` for the
-    fleet hub); an explicit tuple overrides it, and ``()`` disables
-    alerting while keeping the series.
-    """
-
-    interval: float = 0.25
-    capacity: int = 512
-    rules: Optional[Tuple[AlertRule, ...]] = None
-    prefixes: Tuple[str, ...] = SCRAPE_PREFIXES
-
-    def validate(self) -> None:
-        if self.interval <= 0:
-            raise SimulationError(
-                f"telemetry interval must be > 0, got {self.interval!r}"
-            )
-        if self.capacity < 2:
-            raise SimulationError(
-                f"telemetry capacity must be >= 2, got {self.capacity!r}"
-            )
+    """Attach the sampler + alert engine to a run (``ServeConfig`` /
+    ``FleetSystem`` ``telemetry=``); its presence is the whole setting."""
 
 
 class _Scope:
@@ -105,22 +101,22 @@ class _Scope:
         # scrape never mutates the counter dict mid-iteration.
         monitors.counter("telemetry.samples")
 
-    def sample(self, t: float, prefixes: Tuple[str, ...]) -> None:
+    def sample(self, t: float) -> None:
         monitors = self.monitors
         bank = self.bank
         monitors.counter("telemetry.samples").add()
         for name, counter in monitors.counters.items():
-            if not name.startswith(prefixes):
+            if not name.startswith(SCRAPE_PREFIXES):
                 continue
             value = counter.value
             delta = value - self._prev_counters.get(name, 0.0)
             self._prev_counters[name] = value
             bank.series_for(name, "counter").append(t, delta)
         for name, gauge in monitors.gauges.items():
-            if name.startswith(prefixes):
+            if name.startswith(SCRAPE_PREFIXES):
                 bank.series_for(name, "gauge").append(t, gauge.level)
         for name, hist in monitors.histograms.items():
-            if not name.startswith(prefixes):
+            if not name.startswith(SCRAPE_PREFIXES):
                 continue
             samples = hist.samples
             start = self._prev_hist.get(name, 0)
@@ -137,16 +133,12 @@ class _Scope:
 
 
 class TelemetrySampler:
-    """Scrapes every registered scope at each ``tick * interval``."""
+    """Scrapes every registered scope at each ``tick * INTERVAL``."""
 
-    def __init__(self, env, config: Optional[TelemetryConfig] = None):
-        config = config or TelemetryConfig()
-        config.validate()
+    def __init__(self, env):
         self.env = env
-        self.config = config
-        self.interval = float(config.interval)
         self.scopes: List[_Scope] = []
-        self._tick = 0  # samples taken; next boundary is (tick + 1) * interval
+        self._tick = 0  # samples taken; next boundary is (tick + 1) * INTERVAL
         self._attached = False
         self._finalized_at: Optional[float] = None
 
@@ -154,7 +146,7 @@ class TelemetrySampler:
     def add_scope(self, label, monitors, rules=(), active_until=None) -> _Scope:
         if any(s.label == label for s in self.scopes):
             raise SimulationError(f"duplicate telemetry scope {label!r}")
-        bank = SeriesBank(capacity=self.config.capacity)
+        bank = SeriesBank(capacity=CAPACITY)
         engine = None
         if rules:
             engine = AlertEngine(
@@ -169,7 +161,7 @@ class TelemetrySampler:
         """Arm the dispatch-loop boundary check."""
         if self._attached:
             raise SimulationError("sampler already attached")
-        self.env.set_telemetry(self._fire, (self._tick + 1) * self.interval)
+        self.env.set_telemetry(self._fire, (self._tick + 1) * INTERVAL)
         self._attached = True
 
     # -- the dispatch-loop callback ---------------------------------------------
@@ -177,17 +169,15 @@ class TelemetrySampler:
         # Flush every boundary at or before the event about to dispatch;
         # state is constant since the previous event, so each boundary
         # observes exactly the state it would have seen live.
-        interval = self.interval
-        nxt = (self._tick + 1) * interval
+        nxt = (self._tick + 1) * INTERVAL
         while nxt <= when:
             self._sample(nxt)
-            nxt = (self._tick + 1) * interval
+            nxt = (self._tick + 1) * INTERVAL
         self.env._telemetry_next = nxt
 
     def _sample(self, t: float) -> None:
-        prefixes = self.config.prefixes
         for scope in self.scopes:
-            scope.sample(t, prefixes)
+            scope.sample(t)
         self._tick += 1
 
     # -- lifecycle --------------------------------------------------------------
@@ -195,10 +185,10 @@ class TelemetrySampler:
         """Flush trailing boundaries up to ``horizon`` and detach."""
         if self._finalized_at is not None:
             return
-        nxt = (self._tick + 1) * self.interval
+        nxt = (self._tick + 1) * INTERVAL
         while nxt <= horizon + _EPS:
             self._sample(nxt)
-            nxt = (self._tick + 1) * self.interval
+            nxt = (self._tick + 1) * INTERVAL
         if self._attached:
             self.env.clear_telemetry()
             self._attached = False
@@ -225,7 +215,7 @@ class TelemetrySampler:
                 }
             scopes[scope.label] = block
         return {
-            "interval": self.interval,
+            "interval": INTERVAL,
             "samples": self._tick,
             "scopes": scopes,
         }
@@ -252,7 +242,7 @@ class TelemetrySampler:
         doc: Dict[str, object] = {
             "schema": SCHEMA,
             "label": label,
-            "interval": self.interval,
+            "interval": INTERVAL,
             "samples": self._tick,
             "horizon": self._finalized_at,
             "scopes": scopes,

@@ -10,11 +10,11 @@ Three families of drift this catches:
 
 2. **CLI flags.**  Every ``--flag`` a document attributes to one of the
    repository's own tools must exist in that tool's real argparse
-   parser: ``repro.harness`` (the runner and its ``report``
-   subcommand) or ``repro.verify``.  Two places count as attributing a
-   flag: fenced-code lines that invoke the tool — ``python -m
-   repro.harness...`` / ``das-harness`` / ``python -m repro.verify...``,
-   line continuations followed — which are held to that tool's parser,
+   parser: ``repro.harness``, ``repro.report`` or ``repro.verify``.
+   Two places count as attributing a flag: fenced-code lines that
+   invoke the tool — ``python -m repro.harness...`` / ``das-harness`` /
+   ``python -m repro.report...`` / ``python -m repro.verify...``, line
+   continuations followed — which are held to that tool's parser,
    and inline code spans that consist of a flag, like ``--batch-max N``,
    which must exist in one of them.  Flags belonging to other tools
    (pip, pytest, ``scripts/profile_sim.py``) live in
@@ -37,8 +37,8 @@ import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
-from ..harness import report
 from ..harness.runner import build_parser
+from ..report.__main__ import build_parser as report_parser
 from ..scenarios import CHECKS, library_names
 from ..scenarios.spec import SCHEMA_SECTIONS
 
@@ -75,6 +75,7 @@ FOREIGN_FLAGS = {
 #: Fenced-command pattern -> the tool whose parser its flags are held to.
 TOOL_RES = {
     "harness": re.compile(r"repro\.harness|das-harness"),
+    "report": re.compile(r"repro\.report\b"),
     "verify": re.compile(r"repro\.verify"),
 }
 
@@ -155,16 +156,17 @@ def check_links(doc: Path) -> List[str]:
 
 def tool_flags() -> Dict[str, Set[str]]:
     """Option strings of the real argparse parsers, per tool: the harness
-    runner plus its report subcommand, and this package's own CLI."""
+    runner, the report generator and this package's own CLI."""
     from . import build_parser as verify_parser  # imports this module
 
     parsers = {
-        "harness": (build_parser(), report.build_parser()),
-        "verify": (verify_parser(),),
+        "harness": build_parser(),
+        "report": report_parser(),
+        "verify": verify_parser(),
     }
     return {
-        tool: {opt for p in group for a in p._actions for opt in a.option_strings}
-        for tool, group in parsers.items()
+        tool: {opt for a in p._actions for opt in a.option_strings}
+        for tool, p in parsers.items()
     }
 
 
@@ -254,6 +256,7 @@ def check_docs() -> List[str]:
     if not problems:
         print(
             f"  {len(DOCUMENTS)} documents clean (links resolve, flags match the"
-            " harness and verify parsers, scenario doc matches the schema)"
+            " harness, report and verify parsers, scenario doc matches the"
+            " schema)"
         )
     return problems

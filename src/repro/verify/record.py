@@ -288,7 +288,7 @@ def check_results(baseline, results) -> List[str]:
     if not results.exists():
         return [
             f"{results} is missing — generate it with"
-            " 'PYTHONPATH=src python -m repro.harness report'"
+            " 'PYTHONPATH=src python -m repro.report'"
         ]
     committed = results.read_text(encoding="utf-8")
     text = generate_results(baseline)
@@ -308,6 +308,6 @@ def check_results(baseline, results) -> List[str]:
         diff = diff[:DIFF_LINES] + [f"... ({len(diff) - DIFF_LINES} more diff lines)"]
     return [
         f"{results} drifted from the committed inputs — regenerate it"
-        " (PYTHONPATH=src python -m repro.harness report) and commit the"
+        " (PYTHONPATH=src python -m repro.report) and commit the"
         " result:"
     ] + diff

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import FleetError
 from repro.fleet import FleetController
+from repro.fleet.controller import OBSERVE_INTERVAL
 from repro.sim import MonitorHub
 
 
@@ -69,10 +70,6 @@ class TestBudget:
         cells = [StubCell("a", StubAutoscaler(2, 4)), StubCell("b", StubAutoscaler(2, 4))]
         with pytest.raises(FleetError):
             make_controller(env, cells, budget=3)
-
-    def test_nonpositive_interval_rejected(self, env):
-        with pytest.raises(FleetError):
-            make_controller(env, [StubCell("a")], interval=0.0)
 
     def test_total_active_sums_autoscaled_cells(self, env):
         cells = [
@@ -141,11 +138,13 @@ class TestLifecycle:
 
     def test_observe_loop_traces_until_drained(self, env):
         cells = [StubCell("a", StubAutoscaler(2, 4, active=3))]
-        controller = make_controller(env, cells, interval=0.25, duration=0.5)
+        controller = make_controller(env, cells, duration=2 * OBSERVE_INTERVAL)
         controller.start()
         env.run()
-        assert env.now == pytest.approx(0.5)
-        assert [obs["t"] for obs in controller.trace] == pytest.approx([0.25, 0.5])
+        assert env.now == pytest.approx(2 * OBSERVE_INTERVAL)
+        assert [obs["t"] for obs in controller.trace] == pytest.approx(
+            [OBSERVE_INTERVAL, 2 * OBSERVE_INTERVAL]
+        )
         assert all(obs["total_active"] == 3 for obs in controller.trace)
         assert controller.trace[-1]["a"]["active"] == 3
         assert controller.monitors.gauge("fleet.active_servers").level == 3

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import FleetError
 from repro.fleet import FleetRouter
+from repro.fleet.router import PROBE_INTERVAL
 from repro.sim import MonitorHub
 
 from .conftest import make_cell, make_request
@@ -93,19 +94,6 @@ class TestSpillover:
         assert router.placements[1] == "cell-1"
         assert router.spilled == 1
 
-    def test_no_spillover_mode_rejects_at_the_pin(self, env, cell_pair):
-        router = make_router(
-            env,
-            cell_pair,
-            policy="sticky",
-            spillover=False,
-            assignments={"alpha": "cell-0"},
-        )
-        self._jam(cell_pair[0])
-        assert not router.submit(make_request(1))
-        assert router.shed == 1
-        assert router.spilled == 0
-
     def test_every_queue_full_books_one_rejection(self, env, cell_pair):
         router = make_router(
             env, cell_pair, policy="sticky", assignments={"alpha": "cell-0"}
@@ -138,11 +126,11 @@ class TestProbes:
         assert router.is_healthy(cell_pair[0])
 
     def test_probe_loop_exits_when_drained(self, env, cell_pair):
-        router = make_router(env, cell_pair, duration=0.5, probe_interval=0.1)
+        router = make_router(env, cell_pair, duration=4 * PROBE_INTERVAL)
         router.start()
         env.run()
-        assert env.now >= 0.5
-        assert router.monitors.counter("fleet.probes").value >= 5
+        assert env.now == pytest.approx(4 * PROBE_INTERVAL)
+        assert router.monitors.counter("fleet.probes").value == 4
 
     def test_double_start_raises(self, env, cell_pair):
         router = make_router(env, cell_pair)

@@ -118,7 +118,9 @@ class TestFlags:
 
     def test_real_parser_knows_the_real_flags(self):
         known = check_docs.tool_flags()["harness"]
-        assert {"--scale-kb", "--bench-dir", "--chaos-spec", "--batch-max"} <= known
+        assert {"--scale-kb", "--bench-dir", "--trace-dir", "--scenario"} <= known
+        # Settings a scenario document carries are not harness flags.
+        assert not {"--chaos-spec", "--batch-max", "--trace-sample"} & known
 
     def test_verify_flags_are_held_to_the_verify_parser(self, tmp_path):
         """No sibling-tool whitelist: a ``repro.verify`` command or inline

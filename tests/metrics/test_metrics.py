@@ -4,7 +4,7 @@ import pytest
 
 from repro.hw import Cluster
 from repro.metrics import TrafficMeter, sustained_bandwidth
-from repro.metrics.report import format_checks, format_series, format_table
+from repro.metrics.report import format_checks, format_table
 
 
 @pytest.fixture
@@ -96,11 +96,6 @@ class TestReportRendering:
         rows = [{"a": 1, "b": 2}]
         text = format_table(rows, columns=["b"])
         assert "a" not in text.splitlines()[0]
-
-    def test_format_series(self):
-        text = format_series("title", {"DAS": [(24, 1.0), (36, 2.0)]}, unit="s")
-        assert "title" in text
-        assert "24: 1s" in text
 
     def test_format_checks_verdicts(self):
         text = format_checks([("claim one", True), ("claim two", False)])

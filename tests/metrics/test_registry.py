@@ -12,10 +12,8 @@ from repro.metrics.registry import (
     Histogram,
     MetricSpec,
     catalog_lookup,
-    describe,
     mistyped,
     require,
-    snapshot,
     undeclared,
 )
 from repro.sim import MonitorHub
@@ -52,8 +50,6 @@ class TestCatalog:
         spec = MetricSpec("x", "counter", "bytes", "h")
         with pytest.raises(ServeError, match="twice"):
             undeclared(hub, catalog=(spec, spec))
-        with pytest.raises(ServeError, match="twice"):
-            describe((spec, spec))
 
 
 class TestLint:
@@ -155,18 +151,3 @@ class TestHistogram:
             "buckets": {"1": 1, "+Inf": 1},
         }
 
-
-class TestSnapshot:
-    def test_snapshot_unifies_counters_gauges_histograms(self, hub):
-        hub.counter("serve.admitted").add(4)
-        hub.gauge("serve.queue.depth").set(2)
-        hub.histogram("serve.latency").observe(0.05)
-        snap = snapshot(hub)
-        assert snap["serve.admitted"] == 4
-        assert snap["serve.queue.depth"] == 2
-        assert snap["serve.latency"]["count"] == 1
-
-    def test_describe_marks_families(self, hub):
-        rows = {row["name"]: row for row in describe()}
-        assert rows["net.flow.*"]["kind"] == "counter"
-        assert rows["serve.admitted"]["unit"] == "requests"

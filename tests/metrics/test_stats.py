@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import LatencySummary, format_latency_table, latency_summary, percentile
+from repro.metrics import LatencySummary, latency_summary, percentile
 
 
 class TestPercentile:
@@ -62,18 +62,3 @@ class TestLatencySummary:
         xs = [0.017 * (i % 13) for i in range(200)]
         assert latency_summary(xs) == latency_summary(list(xs))
 
-
-class TestFormatLatencyTable:
-    def test_renders_one_row_per_name(self):
-        text = format_latency_table(
-            {"alpha": latency_summary([0.1, 0.2]), "beta": latency_summary([])}
-        )
-        assert "alpha" in text and "beta" in text
-        assert "p99_s" in text
-
-    def test_scale_and_unit(self):
-        text = format_latency_table(
-            {"t": latency_summary([0.25])}, unit="ms", scale=1e3
-        )
-        assert "p50_ms" in text
-        assert "250" in text

@@ -68,6 +68,11 @@ class TestSpanLifecycle:
         span = tracer.begin("work", parent=NULL_SPAN)
         assert span.parent is None
 
+    def test_null_span_parent_drops_the_child(self, tracer):
+        child = tracer.begin("queue", cat="queue", parent=NULL_SPAN)
+        assert isinstance(child, NullSpan)
+        assert tracer.spans == []
+
     def test_events_stamp_the_current_clock(self, tracer, clock):
         span = tracer.begin("work")
         clock.t = 0.75
@@ -141,6 +146,21 @@ class TestRequestRegistry:
     def test_unknown_request_yields_the_null_span(self, tracer):
         assert tracer.request_span(404) is NULL_SPAN
         tracer.request_end(404, "completed")  # must not raise
+
+    def test_root_parents_its_children(self, tracer):
+        root = tracer.request_begin(self.Req())
+        child = tracer.begin("queue", cat="queue", parent=tracer.request_span(11))
+        assert child and child.parent == root.sid
+
+    def test_every_request_is_registered(self, tracer):
+        for r in range(1, 10):
+            req = self.Req()
+            req.req_id = r
+            root = tracer.request_begin(req)
+            tracer.begin("stage", cat="queue", parent=root).finish()
+            root.finish()
+        assert sorted(tracer.requests) == list(range(1, 10))
+        assert len([s for s in tracer.spans if s.cat == "request"]) == 9
 
 
 class TestEndOn:

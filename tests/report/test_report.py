@@ -261,7 +261,7 @@ GOLDEN = """\
 # Results
 
 <!-- GENERATED FILE — do not edit by hand.
-     Regenerate:  PYTHONPATH=src python -m repro.harness report
+     Regenerate:  PYTHONPATH=src python -m repro.report
      Drift gate:  PYTHONPATH=src python -m repro.verify results  (CI job: record) -->
 
 The measured state of the repository, rendered from its committed

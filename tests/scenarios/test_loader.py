@@ -6,7 +6,7 @@ import copy
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios import load_scenario
+from repro.scenarios import build_scenario, load_scenario
 
 
 def base_doc(**overrides):
@@ -290,3 +290,33 @@ class TestSources:
         arr.write_text("[1, 2]\n")
         with pytest.raises(ScenarioError, match="must be a JSON object"):
             load_scenario(arr)
+
+
+class TestClusterAgreement:
+    """The node names and storage counts the loader checks a document
+    against are those of the cluster ``build_scenario`` then builds."""
+
+    @pytest.mark.parametrize("nodes", range(2, 10))
+    def test_accepted_bounds_match_the_built_cluster(self, nodes):
+        def doc(topology=(), **sections):
+            return base_doc(topology={"nodes": nodes, **dict(topology)}, **sections)
+
+        pfs, _ = build_scenario(load_scenario(doc()))
+        compute = pfs.cluster.compute_names
+        storage = pfs.cluster.storage_names
+        assert len(compute) + len(storage) == nodes
+
+        for name in list(compute) + list(storage):
+            load_scenario(doc(chaos={"spec": f"crash:{name}@0.5"}))
+        for ghost in (f"c{len(compute)}", f"s{len(storage)}"):
+            rejects(doc(chaos={"spec": f"crash:{ghost}@0.5"}), "unknown node")
+
+        partition = {"ingest": "partition", "partition_servers": len(storage)}
+        load_scenario(doc(partition))
+        partition["partition_servers"] += 1
+        rejects(doc(partition), "topology.partition_servers", "exceeds")
+
+        clamp = {"min_servers": 1, "max_servers": len(storage)}
+        load_scenario(doc(autoscale=clamp))
+        clamp["max_servers"] += 1
+        rejects(doc(autoscale=clamp), "autoscale.max_servers", "exceeds")

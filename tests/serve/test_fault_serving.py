@@ -29,8 +29,7 @@ def lone_cell(spec):
     env = Environment()
     cell = Cell("cell", *build_scenario(spec, env=env))
     fleet = FleetSystem(
-        env, [cell], spec.tenants, duration=spec.duration,
-        deadline=spec.deadline, load=spec.load,
+        env, [cell], spec.tenants, duration=spec.duration, deadline=spec.deadline
     )
     return fleet.run()["cells"][0]
 

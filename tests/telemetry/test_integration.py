@@ -21,7 +21,7 @@ from repro.scenarios import run_scenario
 from repro.scenarios.checks import evaluate_check
 from repro.scenarios.spec import CheckSpec
 from repro.sim.core import events_dispatched_total, untallied
-from repro.telemetry import TelemetryConfig
+from repro.telemetry import INTERVAL, TelemetryConfig
 from repro.verify import artifacts
 
 REPO = Path(__file__).resolve().parents[2]
@@ -53,7 +53,7 @@ class TestNonPerturbation:
 
     def test_sampler_covered_the_whole_run(self, sampled):
         _, sampler = sampled
-        assert sampler.samples == int(DURATION / sampler.interval)
+        assert sampler.samples == int(DURATION / INTERVAL)
 
     def test_summary_block_and_payload_agree(self, sampled):
         summary, sampler = sampled

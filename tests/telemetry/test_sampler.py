@@ -14,14 +14,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.core import Environment
 from repro.sim.monitor import MonitorHub
-from repro.telemetry import (
-    SCRAPE_PREFIXES,
-    AlertRule,
-    TelemetryConfig,
-    TelemetrySampler,
-)
-
-INTERVAL = 0.25
+from repro.telemetry import INTERVAL, SCRAPE_PREFIXES, AlertRule, TelemetrySampler
 
 
 def bursty_run(rules=(), horizon=2.0, stop_load_at=None):
@@ -30,8 +23,7 @@ def bursty_run(rules=(), horizon=2.0, stop_load_at=None):
     each admission.  Returns the (finalized) sampler and the hub."""
     env = Environment()
     hub = MonitorHub(env)
-    config = TelemetryConfig(interval=INTERVAL)
-    sampler = TelemetrySampler(env, config)
+    sampler = TelemetrySampler(env)
     sampler.add_scope("cell", hub, rules=rules, active_until=stop_load_at)
     sampler.attach()
 
@@ -97,12 +89,6 @@ class TestBoundaryGrid:
 
 
 class TestWiring:
-    def test_config_validation(self):
-        with pytest.raises(SimulationError, match="interval"):
-            TelemetryConfig(interval=0.0).validate()
-        with pytest.raises(SimulationError, match="capacity"):
-            TelemetryConfig(capacity=1).validate()
-
     def test_duplicate_scope_rejected(self):
         env = Environment()
         hub = MonitorHub(env)
@@ -150,7 +136,7 @@ class TestAlertsEndToEnd:
     def test_without_active_until_the_drain_pages(self):
         env = Environment()
         hub = MonitorHub(env)
-        sampler = TelemetrySampler(env, TelemetryConfig(interval=INTERVAL))
+        sampler = TelemetrySampler(env)
         sampler.add_scope("cell", hub, rules=(self.STALL,))
         sampler.attach()
 
