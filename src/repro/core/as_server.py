@@ -32,7 +32,7 @@ from ..kernels.base import KernelRegistry, default_registry
 from ..kernels.reductions import ReductionRegistry, default_reductions
 from ..kernels.stencil import Window, window_bounds
 from ..net.message import FaultNotice, Message
-from ..pfs.dataserver import TAG_PFS, ReadPiece, accounted_wire_size, fan_out
+from ..pfs.dataserver import TAG_PFS, ReadPiece, accounted_wire_size, copy_views, fan_out
 from ..pfs.datafile import FileMeta
 from ..pfs.filesystem import ParallelFileSystem
 from ..pfs.localio import LocalFile
@@ -277,15 +277,17 @@ class ASServer:
             accounted_wire_size(self.monitors, sum(e.n_strips for _, e in group)),
             tag=TAG_PFS,
         )
-        data = reply.payload
-        stats.halo_bytes_remote += int(data.nbytes)
-        self.monitors.counter("as.halo_bytes_remote").add(int(data.nbytes))
+        fetched = sum(p.length for p in pieces)
+        stats.halo_bytes_remote += fetched
+        self.monitors.counter("as.halo_bytes_remote").add(fetched)
 
-        cursor = 0
+        # The reply lends the owner's runs; what lands in ``out`` is
+        # copied once, straight from them.
+        wanted, cursor = [], 0
         for piece, (pos, e) in zip(pieces, group):
-            rel = cursor + e.in_strip - piece.in_strip
-            out[pos : pos + e.length] = data[rel : rel + e.length]
+            wanted.append((cursor + e.in_strip - piece.in_strip, pos, e.length))
             cursor += piece.length
+        copy_views(reply.payload, wanted, out)
         return None
 
     # -- output writing ---------------------------------------------------------------------

@@ -18,6 +18,7 @@ Paper experiment map:
 from __future__ import annotations
 
 import dataclasses
+from itertools import product
 from typing import Callable, Dict, Optional, Sequence
 
 from ..errors import UnknownExperimentError
@@ -48,15 +49,16 @@ def _grid(
     scale: Optional[int],
     verify: bool,
 ) -> Dict[tuple, RunRecord]:
+    """One cell per ``(scheme, kernel, size, nodes)``, keyed in that order.
+    Walked size by size, so one dataset and its references are held at a
+    time (the harness memos keep only the size asked for last)."""
     out: Dict[tuple, RunRecord] = {}
-    for scheme in schemes:
-        for kernel in kernels:
-            for size in sizes:
-                for n in nodes:
-                    out[(scheme, kernel, size, n)] = run_label_cell(
-                        scheme, kernel, size, n, scale=scale, verify=verify
-                    )
-    return out
+    for size in sizes:
+        for scheme, kernel, n in product(schemes, kernels, nodes):
+            out[(scheme, kernel, size, n)] = run_label_cell(
+                scheme, kernel, size, n, scale=scale, verify=verify
+            )
+    return {key: out[key] for key in product(schemes, kernels, sizes, nodes)}
 
 
 def _time(cells, scheme, kernel, size, nodes) -> float:

@@ -278,17 +278,6 @@ class Histogram:
     def summary(self) -> LatencySummary:
         return latency_summary(self.samples)
 
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "buckets": {
-                ("+Inf" if i == len(self.buckets) else f"{self.buckets[i]:g}"): n
-                for i, n in enumerate(self.counts)
-                if n
-            },
-        }
-
 
 def require(name: str, kind: str) -> None:
     """Raise unless the catalog declares ``name`` as a ``kind`` metric

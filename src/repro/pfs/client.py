@@ -11,6 +11,7 @@ under test, not the initial population of the file system.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -19,7 +20,14 @@ from ..errors import LayoutError, NodeDownError, PFSError
 from ..hw.cluster import Cluster
 from ..obs.span import NULL_SPAN, rpc_reply_bytes, rpc_status
 from ..sim import contain_failures, outcome_of
-from .dataserver import TAG_PFS, DataServer, ReadPiece, accounted_wire_size, fan_out
+from .dataserver import (
+    TAG_PFS,
+    DataServer,
+    ReadPiece,
+    accounted_wire_size,
+    copy_views,
+    fan_out,
+)
 from .datafile import FileMeta
 from .layout import Layout, StripExtent
 from .metadata import MetadataService
@@ -435,11 +443,10 @@ class PFSClient:
         return {"op": "read", "file": name, "pieces": pieces}, size
 
     @staticmethod
-    def _scatter_reply(data, group, out) -> None:
-        cursor = 0
-        for pos, e in group:
-            out[pos : pos + e.length] = data[cursor : cursor + e.length]
-            cursor += e.length
+    def _scatter_reply(views, group, out) -> None:
+        """Copy a read reply's lent views to the extents' output positions."""
+        at = accumulate((e.length for _, e in group), initial=0)
+        copy_views(views, [(a, pos, e.length) for a, (pos, e) in zip(at, group)], out)
 
     # -- degraded-mode read path -------------------------------------------------
     def _failover(self, layout: Layout, offset: int, extent: StripExtent):

@@ -11,7 +11,6 @@ components (the active-storage helper reads its strips through
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
@@ -62,6 +61,25 @@ class WritePiece:
     @property
     def length(self) -> int:
         return self.data.nbytes
+
+
+def copy_views(views, wanted, out: np.ndarray) -> None:
+    """Copy out of a read reply: its views, taken end to end as one byte
+    stream, give ``out[pos : pos + n]`` the stream's ``[at, at + n)`` for
+    each ``(at, pos, n)`` of ``wanted`` (ascending, disjoint) — each
+    byte is copied once, straight from the stored run."""
+    wanted = iter(wanted)
+    at, pos, n = next(wanted, (None, 0, 0))
+    start = 0
+    for view in views:
+        stop = start + view.nbytes
+        while at is not None and at < stop:
+            lo, hi = max(at, start), min(at + n, stop)
+            out[pos + lo - at : pos + hi - at] = view[lo - start : hi - start]
+            if at + n > stop:
+                break
+            at, pos, n = next(wanted, (None, 0, 0))
+        start = stop
 
 
 def request_wire_size(n_extents: int) -> int:
@@ -264,29 +282,32 @@ class DataServer:
 
     # -- timed local I/O (direct path for co-located components) ----------------
     def read_pieces(self, file: str, pieces, out=None, positions=None, lend=False):
-        """Process: disk-read the pieces; value is the concatenated bytes.
+        """Process: disk-read the pieces; value is their bytes, lent.
 
+        Lent means the stored runs themselves, flagged read-only (a later
+        write copies the strips it touches): one view per stored run a
+        piece crosses, in piece order — the sender keeps the bytes it
+        read, whatever is written after.  ``lend`` wraps each view in a
+        :class:`WritePiece` for a new holder to adopt (redistribution).
         Given ``out`` and one byte position per piece, the pieces are
-        gathered in place instead: run to ``out`` in one copy.  ``lend``
-        makes the value the stored runs themselves, flagged read-only, as
-        :class:`WritePiece` s for a new holder to adopt (redistribution)."""
+        gathered in place instead: run to ``out`` in one copy."""
         return self.env.process(
             self._read_pieces(file, pieces, out, positions, lend), name=f"dsr:{self.name}"
         )
 
     def _read_pieces(self, file: str, pieces, out=None, positions=None, lend=False):
-        total = yield from self._disk_read(file, pieces)
+        yield from self._disk_read(file, pieces)
         size = self._runs(file).strip
         spans = [(p.strip * size + p.in_strip, p.length) for p in pieces]
-        if lend:
-            return [
-                WritePiece(pos // size, 0, view)
-                for lo, length in spans
-                for pos, view in self._views(file, lo, lo + length, lend=True)
-            ]
         if out is None:
-            out = np.empty(total, dtype=np.uint8)
-            positions = accumulate((p.length for p in pieces), initial=0)
+            views = [
+                pair
+                for lo, length in spans
+                for pair in self._views(file, lo, lo + length, lend=True)
+            ]
+            if lend:
+                return [WritePiece(pos // size, 0, view) for pos, view in views]
+            return [view for _, view in views]
         for (lo, length), pos in zip(spans, positions):
             self.copy_range(file, lo, out[pos : pos + length])
         return out
@@ -391,8 +412,9 @@ class DataServer:
         # other storage nodes".
         yield self.node.cpu.service(self.node.spec.rpc_overhead, f"pfs-{op}")
         if op == "read":
-            data = yield from self._read_pieces(request["file"], request["pieces"])
-            reply = self.transport.reply_gen(msg, data, data.nbytes)
+            pieces = request["pieces"]
+            views = yield from self._read_pieces(request["file"], pieces)
+            reply = self.transport.reply_gen(msg, views, sum(p.length for p in pieces))
         elif op == "write":
             total = yield from self._write_pieces(
                 request["file"], request["pieces"], request.get("adopt", False)

@@ -54,7 +54,8 @@ class LocalFile:
 
     # -- timed reads/writes --------------------------------------------------------
     def read(self, offset: int, length: int):
-        """Process: disk-read local bytes; value is uint8[length]."""
+        """Process: disk-read local bytes; value is uint8[length], copied
+        once from the stored runs."""
         if not self.is_local(offset, length):
             raise PFSError(
                 f"range ({offset}, {length}) of {self.name!r} is not fully local"
@@ -62,7 +63,9 @@ class LocalFile:
             )
         extents = self.meta.layout.map_extent(offset, length, prefer=self.server.name)
         pieces = [ReadPiece(e.strip, e.in_strip, e.length) for e in extents]
-        return self.server.read_pieces(self.name, pieces)
+        positions = [e.offset - offset for e in extents]
+        out = np.empty(length, dtype=np.uint8)
+        return self.server.read_pieces(self.name, pieces, out, positions)
 
     def read_elems(self, first: int, count: int):
         """Process: disk-read ``count`` local elements from ``first``;

@@ -103,10 +103,11 @@ class BatchStats:
         }
 
 
-def digest_bytes(raw) -> int:
+def digest_bytes(raw, crc: int = 0) -> int:
     """CRC-32 of a C-contiguous bytes-like buffer (numpy arrays
-    included), hashed in place."""
-    return zlib.crc32(memoryview(raw).cast("B"))
+    included), hashed in place; running on from ``crc``, the CRC of
+    whatever came before it."""
+    return zlib.crc32(memoryview(raw).cast("B"), crc)
 
 
 def combine_digests(parts: Iterable[Tuple[int, int]]) -> int:

@@ -329,11 +329,12 @@ class LoadAwareExecutor:
     @staticmethod
     def _client_digest(sink) -> int:
         """CRC of the client-resident results of a normal-path run (results
-        never hit the PFS; concatenate the workers' shares in file order)."""
-        shares = sorted(sink.values(), key=lambda item: item[0])
-        return digest_bytes(
-            b"".join(np.ascontiguousarray(arr).tobytes() for _, arr in shares)
-        )
+        never hit the PFS): the workers' shares end to end in file order,
+        each hashed in place."""
+        crc = 0
+        for _, arr in sorted(sink.values(), key=lambda item: item[0]):
+            crc = digest_bytes(np.ascontiguousarray(arr), crc)
+        return crc
 
     def result_digest(self) -> Dict[str, int]:
         """Order-independent roll-up of every request's output CRC."""

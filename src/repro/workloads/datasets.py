@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -68,13 +67,21 @@ class DatasetSpec:
     def shape(self) -> Tuple[int, int]:
         return self.rows, self.cols
 
-    @lru_cache(maxsize=4)
     def generate(self) -> np.ndarray:
-        """The spec's raster, synthesised once per process: every cell of
-        a grid asks for the same few specs.  Memoised per (frozen) spec
-        and **read-only**; ingest adopts it without copying (every cell's
+        """The spec's raster, synthesised once while it is the spec asked
+        for: the cells of a grid ask for one size's spec after another.
+        Memoised for one spec at a time (asking for another drops it
+        before synthesising, so two rasters are never held) and
+        **read-only**; ingest adopts it without copying (every cell's
         strips are views of this one array) and the data servers copy a
-        strip before its first write (``DataServer._strip_array``)."""
+        strip before its first write."""
+        raster = _GENERATED.get(self)
+        if raster is None:
+            _GENERATED.clear()
+            raster = _GENERATED[self] = self._synthesise()
+        return raster
+
+    def _synthesise(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         if self.kind == "dem":
             data = fractal_dem(self.rows, self.cols, rng=rng)
@@ -86,6 +93,10 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         data.setflags(write=False)
         return data
+
+
+#: The one raster :meth:`DatasetSpec.generate` holds, keyed by its spec.
+_GENERATED: Dict[DatasetSpec, np.ndarray] = {}
 
 
 def dataset_for_label(

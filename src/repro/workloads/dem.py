@@ -34,14 +34,18 @@ def fractal_dem(
     if rows <= 0 or cols <= 0:
         raise ValueError(f"invalid DEM shape ({rows}, {cols})")
     rng = rng or np.random.default_rng(0)
-    noise = rng.standard_normal((rows, cols))
-    spectrum = np.fft.rfft2(noise)
+    # Each temporary is dropped as soon as the next exists and the
+    # filter is applied in place: at most two raster-sized arrays live.
+    spectrum = np.fft.rfft2(rng.standard_normal((rows, cols)))
     fy = np.fft.fftfreq(rows)[:, None]
     fx = np.fft.rfftfreq(cols)[None, :]
-    freq = np.hypot(fy, fx)
-    freq[0, 0] = np.inf  # kill the DC term
-    spectrum *= freq ** (-beta / 2.0)
+    gain = np.hypot(fy, fx)
+    gain[0, 0] = np.inf  # kill the DC term
+    np.power(gain, -beta / 2.0, out=gain)
+    spectrum *= gain
+    del gain
     surface = np.fft.irfft2(spectrum, s=(rows, cols))
+    del spectrum
 
     lo, hi = surface.min(), surface.max()
     if hi > lo:

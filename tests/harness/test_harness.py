@@ -1,5 +1,8 @@
 """Tests for the experiment harness (fast, tiny scales)."""
 
+import weakref
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.harness import (
     run_cell,
     run_experiment,
 )
+from repro.harness import experiments
 from repro.harness.experiments import table1
 from repro.harness.platform import reference_output
 from repro.kernels import default_registry
@@ -79,6 +83,15 @@ class TestIngestPolicy:
         kernel = default_registry.get("flow-accumulation")
         assert np.array_equal(ref, kernel.reference(dirs))
 
+    def test_one_dataset_is_held_at_a_time(self):
+        first = dataset_for_label(1, scale=TINY, seed=4)
+        dirs = weakref.ref(make_input(first, "flow-accumulation"))
+        raster = weakref.ref(first.generate())
+        assert dirs() is not None and raster() is not None
+        # Asking for another size drops the first one's rasters.
+        make_input(dataset_for_label(2, scale=TINY, seed=4), "gaussian")
+        assert dirs() is None and raster() is None
+
 
 class TestRunCell:
     def test_cell_produces_verified_record(self):
@@ -102,6 +115,20 @@ class TestExperiments:
         text = report.to_text()
         assert "flow-routing" in text
         assert "[PASS]" in text
+
+    def test_grid_walks_size_by_size_and_keys_scheme_first(self, monkeypatch):
+        walked = []
+
+        def fake_cell(scheme, kernel, size, n, scale=None, verify=True):
+            walked.append((scheme, kernel, size, n))
+            return (scheme, kernel, size, n)
+
+        monkeypatch.setattr(experiments, "run_label_cell", fake_cell)
+        cells = experiments._grid(("NAS", "TS"), ("a", "b"), (24, 36), (8,), None, True)
+        assert [key[2] for key in walked] == [24] * 4 + [36] * 4
+        keys = list(product(("NAS", "TS"), ("a", "b"), (24, 36), (8,)))
+        assert list(cells) == keys
+        assert all(cells[key] == key for key in keys)
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(UnknownExperimentError):

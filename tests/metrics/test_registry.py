@@ -140,14 +140,3 @@ class TestHistogram:
         assert summary.count == 100
         assert summary.p50 == pytest.approx(0.050)
         assert summary.p99 == pytest.approx(0.099)
-
-    def test_as_dict_keeps_only_hit_buckets(self):
-        h = Histogram("x", buckets=(1.0, 10.0))
-        h.observe(0.5)
-        h.observe(20.0)
-        assert h.as_dict() == {
-            "count": 2,
-            "sum": 20.5,
-            "buckets": {"1": 1, "+Inf": 1},
-        }
-

@@ -65,8 +65,12 @@ class TestSpanLifecycle:
         assert by_obj.track == 7
 
     def test_null_span_parent_means_root(self, tracer):
-        span = tracer.begin("work", parent=NULL_SPAN)
-        assert span.parent is None
+        # A root is a recorded span whose parent is null (``None``): one
+        # opened with no parent, unlike a child of NULL_SPAN (dropped).
+        root = tracer.begin("work")
+        assert isinstance(root, Span)
+        assert tracer.spans == [root] and root.parent is None
+        assert tracer.begin("queue", parent=root).parent == root.sid
 
     def test_null_span_parent_drops_the_child(self, tracer):
         child = tracer.begin("queue", cat="queue", parent=NULL_SPAN)

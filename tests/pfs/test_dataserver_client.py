@@ -139,11 +139,15 @@ class TestDataServerDirect:
             )
             return data
 
-        got = drive(cl, cl.env.process(main()))
+        views = drive(cl, cl.env.process(main()))
         expected = np.concatenate(
             [raw[0:100], raw[4 * 4096 + 50 : 4 * 4096 + 75]]
         )
-        assert np.array_equal(got, expected)
+        # The reply lends the stored run: read-only views, end to end the
+        # pieces' bytes in order.
+        assert np.array_equal(np.concatenate(views), expected)
+        assert all(not v.flags.writeable for v in views)
+        assert all(np.shares_memory(v, raw) for v in views)
 
     def test_missing_strip_raises(self, loaded, drive):
         pfs, cl, client, dem = loaded

@@ -13,6 +13,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServeError
 from repro.scenarios.platform import (
@@ -34,6 +36,7 @@ from repro.serve import (
     merge_window,
 )
 from repro.serve.batch import digest_bytes
+from repro.serve.dispatch import LoadAwareExecutor
 from repro.workloads import fractal_dem
 
 QUANTUM = 1024
@@ -77,6 +80,23 @@ class TestDigestBytes:
         assert digest_bytes(raster[1:3]) == zlib.crc32(raster[1:3].tobytes())
         assert digest_bytes(b"strip") == zlib.crc32(b"strip")
         assert digest_bytes(np.empty(0)) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 40), max_size=6),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_client_digest_is_the_crc_of_the_shares_end_to_end(self, lengths, order):
+        """The running CRC over the workers' shares, in file order whatever
+        order they arrived in, equals the CRC of their concatenation."""
+        rng = np.random.default_rng(len(lengths))
+        firsts = np.cumsum([0] + lengths[:-1]).tolist()
+        shares = [(f, rng.standard_normal(n)) for f, n in zip(firsts, lengths)]
+        arrived = list(enumerate(shares))
+        order.shuffle(arrived)
+        sink = {f"w{i}": share for i, share in arrived}
+        whole = b"".join(arr.tobytes() for _, arr in shares)
+        assert LoadAwareExecutor._client_digest(sink) == zlib.crc32(whole)
 
     def test_non_contiguous_input_is_rejected(self):
         raster = np.arange(35, dtype=np.float64).reshape(5, 7)

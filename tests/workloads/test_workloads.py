@@ -1,5 +1,7 @@
 """Unit tests for the synthetic workload generators."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -139,15 +141,16 @@ class TestDatasetSpecs:
         assert a is not b and not np.array_equal(a, b)
 
     def test_cache_stays_bounded(self):
-        bound = DatasetSpec.generate.cache_info().maxsize
-        specs = [DatasetSpec(1, 6, 7, seed=s) for s in range(bound + 3)]
-        oldest = specs[0].generate()
-        for spec in specs[1:]:
-            spec.generate()
-        assert DatasetSpec.generate.cache_info().currsize == bound
+        # One spec's raster at a time: asking for another drops it.
+        first, second = DatasetSpec(1, 6, 7, seed=0), DatasetSpec(1, 6, 7, seed=1)
+        oldest = first.generate()
+        values, held = oldest.copy(), weakref.ref(oldest)
+        del oldest
+        assert held() is not None
+        second.generate()
+        assert held() is None
         # Evicted, so regenerated: equal values, a new object.
-        again = specs[0].generate()
-        assert again is not oldest and np.array_equal(again, oldest)
+        assert np.array_equal(first.generate(), values)
 
     def test_fractal_dem_callers_unaffected(self):
         spec = DatasetSpec(1, 12, 9, seed=5)
